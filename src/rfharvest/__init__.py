@@ -14,9 +14,8 @@ from .analytics import (ZoneProbabilities, TransmissionProbability, OutageResult
                         spatial_throughput)
 from .battery import (CHAIN_KINDS, BatteryChain, StationaryResult,
                       steady_state, transition_matrix, build_chain)
-from .sim import (PointPattern, SimConfig, SimEstimate, ConditioningTooRareError,
-                  sample_hppp, SlotSimulator, step_slot, estimate_p_t,
-                  interference_samples, estimate_outage, outage_curve)
+from .sim import (SimConfig, SimEstimate, ConditioningTooRareError, SlotSimulator,
+                  estimate_p_t, interference_samples, estimate_outage, outage_curve)
 from .optimize import (OptimizationResult, InfeasibleError, mu_primary, mu_secondary,
                        constraint_curves, solve_p1_closed_form, solve_p1_numeric,
                        solve_p2)

@@ -146,7 +146,8 @@ class TransmissionProbability:
     """Exact value or interval for the stationary transmit probability.
 
     ``value`` is set only when the chain is exact (m_slots <= 2); otherwise
-    consumers must choose an endpoint of [lower, upper] explicitly.
+    consumers choose an endpoint of [lower, upper], and where one value must
+    stand for the interval they take :attr:`conservative`.
     """
 
     m_slots: int
@@ -157,6 +158,12 @@ class TransmissionProbability:
     @property
     def exact(self) -> bool:
         return self.value is not None
+
+    @property
+    def conservative(self) -> float:
+        """The upper endpoint (the value when exact): most interference, fewest
+        deployed nodes; every single-valued consumer of p_t takes it."""
+        return self.upper
 
 
 def _pt_from_zones(m: int, z: ZoneProbabilities, p_g: float) -> TransmissionProbability:

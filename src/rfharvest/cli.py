@@ -138,9 +138,11 @@ def _headers(command: str, params: NetworkParams, *, sweeps=(), seed=None,
 
 def _n_workers() -> int:
     env = os.environ.get("RFH_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    if not (env.isdecimal() and int(env) > 0):
+        raise ValueError(f"RFH_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def _pooled_map(fn, jobs):
@@ -149,6 +151,26 @@ def _pooled_map(fn, jobs):
         return [fn(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))
+
+
+def _write_sweep(args, command, columns, point_rows, **header_kw) -> int:
+    """Write one row per point of the ``--sweep`` grid over ``--config``.
+
+    A row is the point's swept values followed by its entry of
+    ``point_rows(params)``, which maps an iterator over the validated
+    per-point parameters, built lazily, to a list with one list of columns
+    per point.  That list is complete before the file is opened, so a
+    failing point leaves no partial CSV.
+    """
+    base = load_params(args.config)
+    sweeps = [parse_sweep(s) for s in args.sweep]
+    points = _sweep_points(sweeps)
+    names = [s.name for s in sweeps]
+    tails = point_rows(_point_params(base, overrides) for overrides in points)
+    rows = ([overrides[n] for n in names] + tail for overrides, tail in zip(points, tails))
+    _write_csv(args.out, _headers(command, base, sweeps=sweeps, **header_kw),
+               tuple(names) + columns, rows)
+    return 0
 
 
 # -- analyze -------------------------------------------------------------------
@@ -162,8 +184,7 @@ def _analyze_row(params: NetworkParams) -> list:
     geom = charging_geometry(params)
     z = zone_probabilities(params, geom)
     tp = transmission_probability(params, geom, z)
-    # Conservative (largest) transmit probability drives the outage columns.
-    active = tp.upper * params.lambda_s
+    active = tp.conservative * params.lambda_s
     op = outage_primary(params, active)
     osec = outage_secondary(params, active)
     return [geom.m_slots, z.p_g, z.p_h,
@@ -173,17 +194,8 @@ def _analyze_row(params: NetworkParams) -> list:
 
 
 def cmd_analyze(args) -> int:
-    base = load_params(args.config)
-    sweeps = [parse_sweep(s) for s in args.sweep]
-    points = _sweep_points(sweeps)
-    names = [s.name for s in sweeps]
-    rows = []
-    for overrides in points:
-        p = _point_params(base, overrides)
-        rows.append([overrides[n] for n in names] + _analyze_row(p))
-    headers = _headers("analyze", base, sweeps=sweeps)
-    _write_csv(args.out, headers, tuple(names) + ANALYZE_COLUMNS, rows)
-    return 0
+    return _write_sweep(args, "analyze", ANALYZE_COLUMNS,
+                        lambda points: [_analyze_row(p) for p in points])
 
 
 # -- simulate ------------------------------------------------------------------
@@ -195,56 +207,51 @@ def _simulate_point(job) -> list:
     config = SimConfig(master_seed=seed, **config_kwargs)
     if target == "p_t":
         est = estimate_p_t(params, config)
-    elif target == "outage-primary":
-        est = estimate_outage(params, config, "primary")
-    elif target == "outage-secondary":
-        est = estimate_outage(params, config, "secondary")
     else:
-        est = estimate_outage(params, config, "wit")
+        est = estimate_outage(params, config, target.removeprefix("outage-"))
     return [est.mean, est.half_width, est.n_samples]
 
 
+CDF_COLUMNS = ("quantile", "i_s_exact", "i_s_approx")
+
+
+def _cdf_rows(params: NetworkParams, config: SimConfig) -> list:
+    """Matched quantiles of the exact and approx interference samples."""
+    exact = np.sort(interference_samples(params, config, "exact"))
+    approx = np.sort(interference_samples(params, config, "approx"))
+    n = min(len(exact), len(approx))
+    qs = np.arange(1, n + 1) / n
+    return [[qs[i], exact[i], approx[i]] for i in range(n)]
+
+
 def cmd_simulate(args) -> int:
-    base = load_params(args.config)
-    sweeps = [parse_sweep(s) for s in args.sweep]
     config_kwargs = dict(n_slots=args.slots, n_replications=args.replications)
     if args.window is not None:
         config_kwargs["window_side"] = args.window
     if args.warmup is not None:
         config_kwargs["warmup"] = args.warmup
     SimConfig(master_seed=0, **config_kwargs)  # fail fast on bad values
-    headers = _headers("simulate", base, sweeps=sweeps, seed=args.seed,
-                       replications=args.replications, slots=args.slots,
-                       mode=args.mode, target=args.target)
+    header_kw = dict(seed=args.seed, replications=args.replications, slots=args.slots,
+                     mode=args.mode, target=args.target)
 
-    if args.target in ("interference", "interference-cdf"):
-        if sweeps:
-            raise ValueError(f"target {args.target} does not support sweeps")
-        config = SimConfig(master_seed=_point_seed(args.seed, 0), **config_kwargs)
-        if args.target == "interference":
-            samples = interference_samples(base, config, args.mode)
-            _write_csv(args.out, headers, ("i_s",), [[v] for v in samples])
-            return 0
-        exact = np.sort(interference_samples(base, config, "exact"))
-        approx = np.sort(interference_samples(base, config, "approx"))
-        n = min(len(exact), len(approx))
-        qs = (np.arange(1, n + 1)) / n
-        rows = [[qs[i], exact[i], approx[i]] for i in range(n)]
-        _write_csv(args.out, headers, ("quantile", "i_s_exact", "i_s_approx"), rows)
-        return 0
+    if args.target not in ("interference", "interference-cdf"):
+        def point_rows(points):
+            return _pooled_map(_simulate_point, [
+                (params_to_dict(p), config_kwargs, args.target, _point_seed(args.seed, i))
+                for i, p in enumerate(points)])
+        return _write_sweep(args, "simulate", ("estimate", "half_width", "n_samples"),
+                            point_rows, **header_kw)
 
-    points = _sweep_points(sweeps)
-    names = [s.name for s in sweeps]
-    jobs = []
-    for i, overrides in enumerate(points):
-        p = _point_params(base, overrides)
-        jobs.append((params_to_dict(p), config_kwargs, args.target,
-                     _point_seed(args.seed, i)))
-    results = _pooled_map(_simulate_point, jobs)
-    rows = [[overrides[n] for n in names] + res
-            for overrides, res in zip(points, results)]
-    _write_csv(args.out, headers, tuple(names) + ("estimate", "half_width", "n_samples"),
-               rows)
+    if args.sweep:
+        raise ValueError(f"target {args.target} does not support sweeps")
+    base = load_params(args.config)
+    config = SimConfig(master_seed=_point_seed(args.seed, 0), **config_kwargs)
+    headers = _headers("simulate", base, **header_kw)
+    if args.target == "interference":
+        samples = interference_samples(base, config, args.mode)
+        _write_csv(args.out, headers, ("i_s",), [[v] for v in samples])
+    else:
+        _write_csv(args.out, headers, CDF_COLUMNS, _cdf_rows(base, config))
     return 0
 
 
@@ -274,17 +281,8 @@ def _optimize_row(params: NetworkParams) -> list:
 
 
 def cmd_optimize(args) -> int:
-    base = load_params(args.config)
-    sweeps = [parse_sweep(s) for s in args.sweep]
-    points = _sweep_points(sweeps)
-    names = [s.name for s in sweeps]
-    rows = []
-    for overrides in points:
-        p = _point_params(base, overrides)
-        rows.append([overrides[n] for n in names] + _optimize_row(p))
-    headers = _headers("optimize", base, sweeps=sweeps)
-    _write_csv(args.out, headers, tuple(names) + OPTIMIZE_COLUMNS, rows)
-    return 0
+    return _write_sweep(args, "optimize", OPTIMIZE_COLUMNS,
+                        lambda points: [_optimize_row(p) for p in points])
 
 
 # -- canned studies -------------------------------------------------------------
@@ -300,14 +298,12 @@ def _study_params(**kw) -> NetworkParams:
     return validate(NetworkParams(**base), warn=False)
 
 
-def _sim_cfg(args, *, replications, slots, seed_index=0, window=None) -> SimConfig:
+def _sim_cfg(args, *, replications, slots, seed_index=0) -> SimConfig:
     kw = dict(n_replications=replications if args.replications is None else args.replications,
               n_slots=slots if args.slots is None else args.slots,
               master_seed=_point_seed(args.seed, seed_index))
     if args.window is not None:
         kw["window_side"] = args.window
-    elif window is not None:
-        kw["window_side"] = window
     return SimConfig(**kw)
 
 
@@ -318,17 +314,12 @@ def _pt_columns(tp) -> list:
 def _figure_5(args, out_dir) -> list[str]:
     base = _study_params(r_g=4.0, r_h=1.5, power_p=2.0)
     grid = np.linspace(0.01, 0.16, 20)
-    tps = [transmission_probability(replace(base, power_s=float(ps))) for ps in grid]
+    cols = [_pt_columns(transmission_probability(replace(base, power_s=float(ps))))
+            for ps in grid]
     hdr = _headers("figure 5", base, seed=args.seed)
-    files = [
-        _emit(out_dir, "fig5_pt_exact.csv", hdr, ("power_s", "p_t"),
-              [[float(ps), tp.value if tp.exact else float("nan")]
-               for ps, tp in zip(grid, tps)]),
-        _emit(out_dir, "fig5_pt_lower.csv", hdr, ("power_s", "p_t"),
-              [[float(ps), tp.lower] for ps, tp in zip(grid, tps)]),
-        _emit(out_dir, "fig5_pt_upper.csv", hdr, ("power_s", "p_t"),
-              [[float(ps), tp.upper] for ps, tp in zip(grid, tps)]),
-    ]
+    files = [_emit(out_dir, f"fig5_pt_{curve}.csv", hdr, ("power_s", "p_t"),
+                   [[float(ps), c[k]] for ps, c in zip(grid, cols)])
+             for k, curve in enumerate(("exact", "lower", "upper"), start=1)]
     rows = []
     for i, ps in enumerate(grid):
         p = replace(base, power_s=float(ps))
@@ -340,57 +331,44 @@ def _figure_5(args, out_dir) -> list[str]:
     return files
 
 
-def _figure_6(args, out_dir) -> list[str]:
-    base = _study_params(r_g=3.0, r_h=1.0, power_p=1.0, lambda_s=2.0)
-    grid = np.linspace(0.002, 0.2, 40)
+def _pt_curves(out_dir, figure, prefix, base, field, column, grid, pt_fn) -> list[str]:
+    """p_t from ``pt_fn`` against ``field`` over ``grid``, one file per
+    charging regime: power_s 0.1 (label m1) and 0.2 (m2)."""
     files = []
     for label, ps in (("m1", 0.1), ("m2", 0.2)):
-        rows = []
-        for lam in grid:
-            p = replace(base, lambda_p_total=float(lam), power_s=ps)
-            rows.append([float(lam)] + _pt_columns(transmission_probability(p)))
-        hdr = _headers(f"figure 6 ({label})", replace(base, power_s=ps))
-        files.append(_emit(out_dir, f"fig6_pt_{label}.csv", hdr,
-                           ("lambda_p", "m_slots", "p_t_exact", "p_t_lower", "p_t_upper"),
-                           rows))
+        rows = [[float(v)] + _pt_columns(pt_fn(replace(base, **{field: float(v)}, power_s=ps)))
+                for v in grid]
+        hdr = _headers(f"figure {figure} ({label})", replace(base, power_s=ps))
+        files.append(_emit(out_dir, f"{prefix}_{label}.csv", hdr,
+                           (column, "m_slots", "p_t_exact", "p_t_lower", "p_t_upper"), rows))
     return files
+
+
+def _figure_6(args, out_dir) -> list[str]:
+    return _pt_curves(out_dir, 6, "fig6_pt",
+                      _study_params(r_g=3.0, r_h=1.0, power_p=1.0, lambda_s=2.0),
+                      "lambda_p_total", "lambda_p", np.linspace(0.002, 0.2, 40),
+                      transmission_probability)
 
 
 def _figure_7(args, out_dir) -> list[str]:
-    base = _study_params(r_h=1.0, power_p=1.0)
-    grid = np.linspace(1.25, 8.0, 24)
-    files = []
-    for label, ps in (("m1", 0.1), ("m2", 0.2)):
-        rows = []
-        for rg in grid:
-            p = replace(base, r_g=float(rg), power_s=ps)
-            rows.append([float(rg)] + _pt_columns(transmission_probability(p)))
-        hdr = _headers(f"figure 7 ({label})", replace(base, power_s=ps))
-        files.append(_emit(out_dir, f"fig7_pt_{label}.csv", hdr,
-                           ("r_g", "m_slots", "p_t_exact", "p_t_lower", "p_t_upper"),
-                           rows))
-    return files
+    return _pt_curves(out_dir, 7, "fig7_pt", _study_params(r_h=1.0, power_p=1.0),
+                      "r_g", "r_g", np.linspace(1.25, 8.0, 24), transmission_probability)
 
 
 def _figure_8(args, out_dir) -> list[str]:
     base = _study_params(r_g=3.0, r_h=1.0, power_p=2.0, power_s=0.1, lambda_s=0.2)
     cfg = _sim_cfg(args, replications=10, slots=200)
-    exact = np.sort(interference_samples(base, cfg, "exact"))
-    approx = np.sort(interference_samples(base, cfg, "approx"))
-    n = min(len(exact), len(approx))
-    qs = np.arange(1, n + 1) / n
-    rows = [[qs[i], exact[i], approx[i]] for i in range(n)]
     hdr = _headers("figure 8", base, seed=args.seed,
                    replications=cfg.n_replications, slots=cfg.n_slots)
-    return [_emit(out_dir, "fig8_interference_cdf.csv", hdr,
-                  ("quantile", "i_s_exact", "i_s_approx"), rows)]
+    return [_emit(out_dir, "fig8_interference_cdf.csv", hdr, CDF_COLUMNS,
+                  _cdf_rows(base, cfg))]
 
 
 def _figure_9(args, out_dir) -> list[str]:
     base = _study_params(r_g=3.0, r_h=1.0, power_p=1.0, power_s=0.1, lambda_s=0.1)
     thetas = np.geomspace(1.0, 1000.0, 13)
-    tp = transmission_probability(base)
-    active = tp.upper * base.lambda_s
+    active = transmission_probability(base).conservative * base.lambda_s
     hdr = _headers("figure 9", base, seed=args.seed)
     prim, sec = [], []
     for th in thetas:
@@ -416,7 +394,7 @@ def _figure_9(args, out_dir) -> list[str]:
 def _figure_10(args, out_dir) -> list[str]:
     base = _study_params(r_g=4.0, r_h=1.0, power_p=2.0, lambda_s=0.2)
     grid = np.linspace(0.02, 0.4, 10)
-    actives = [transmission_probability(replace(base, power_s=float(ps))).upper
+    actives = [transmission_probability(replace(base, power_s=float(ps))).conservative
                * base.lambda_s for ps in grid]
     hdr = _headers("figure 10", base, seed=args.seed)
     prim, sec = [], []
@@ -472,19 +450,10 @@ def _figure_12(args, out_dir) -> list[str]:
 
 
 def _figure_13(args, out_dir) -> list[str]:
-    base = _study_params(r_g=0.0, r_h=1.0, power_p=1.0, lambda_s=2.0)
-    grid = np.linspace(0.005, 0.3, 30)
-    files = []
-    for label, ps in (("m1", 0.1), ("m2", 0.2)):
-        rows = []
-        for lam in grid:
-            p = replace(base, lambda_p_total=float(lam), power_s=ps)
-            rows.append([float(lam)] + _pt_columns(wit_transmission_probability(p)))
-        hdr = _headers(f"figure 13 ({label})", replace(base, power_s=ps))
-        files.append(_emit(out_dir, f"fig13_wit_pt_{label}.csv", hdr,
-                           ("lambda_p", "m_slots", "p_t_exact", "p_t_lower", "p_t_upper"),
-                           rows))
-    return files
+    return _pt_curves(out_dir, 13, "fig13_wit_pt",
+                      _study_params(r_g=0.0, r_h=1.0, power_p=1.0, lambda_s=2.0),
+                      "lambda_p_total", "lambda_p", np.linspace(0.005, 0.3, 30),
+                      wit_transmission_probability)
 
 
 _FIGURES = {5: _figure_5, 6: _figure_6, 7: _figure_7, 8: _figure_8, 9: _figure_9,
@@ -498,12 +467,13 @@ def _emit(out_dir, name, header_lines, columns, rows) -> str:
 
 
 def cmd_figure(args) -> int:
-    if args.id not in _FIGURES:
-        raise ValueError(f"unknown figure id {args.id}; known: {sorted(_FIGURES)}")
+    ids = [i for i in sorted(_FIGURES) if args.id in ("all", str(i))]
+    if not ids:
+        raise ValueError(f"unknown figure id {args.id}; known: {sorted(_FIGURES)} or all")
     os.makedirs(args.out_dir, exist_ok=True)
-    written = _FIGURES[args.id](args, args.out_dir)
-    for path in written:
-        print(path)
+    for i in ids:
+        for path in _FIGURES[i](args, args.out_dir):
+            print(path)
     return 0
 
 
@@ -516,10 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"rfharvest {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_out=True):
+    def common(sp):
         sp.add_argument("--config", required=True, help="JSON parameter document")
-        if needs_out:
-            sp.add_argument("--out", required=True, help="output CSV path")
+        sp.add_argument("--out", required=True, help="output CSV path")
         sp.add_argument("--sweep", action="append", default=[],
                         help="name=start:stop:npoints[:log]; repeatable (cartesian)")
 
@@ -545,8 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_optimize)
 
     sp = sub.add_parser("figure", help="canned reference studies")
-    sp.add_argument("--id", type=int, required=True,
-                    help=f"study id, one of {sorted(_FIGURES)}")
+    sp.add_argument("--id", required=True,
+                    help=f"study id, one of {sorted(_FIGURES)}, or all for every study")
     sp.add_argument("--out-dir", required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--replications", type=int, default=None)

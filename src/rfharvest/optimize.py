@@ -84,11 +84,7 @@ def constraint_curves(params: NetworkParams):
     """
     p = params
     ph = phi(p.alpha)
-    pg = p_guard(p.lambda_p, p.r_g)
-    if pg <= 0.0:
-        raise InfeasibleError("guard zones cover the plane (p_g = 0)")
-    mp = mu_primary(p.eps_p)
-    ms = mu_secondary(p.eps_s, pg)
+    mp, ms, _ = _budgets(p)
     c_p = p.theta_p ** (2.0 / p.alpha) * p.d_p ** 2 * ph
     c_s = p.theta_s ** (2.0 / p.alpha) * p.d_s ** 2 * ph
 
@@ -103,26 +99,32 @@ def constraint_curves(params: NetworkParams):
     return f1, f2
 
 
-def _lambda_fields(params: NetworkParams, p_s_star: float, active: float):
-    """Deployment density realizing ``active`` at the optimal power."""
-    tp = transmission_probability(replace(params, power_s=p_s_star))
-    if tp.exact:
-        star = active / tp.value if tp.value > 0 else math.inf
-        return star, None, tp.m_slots
-    lo = active / tp.upper if tp.upper > 0 else math.inf
-    hi = active / tp.lower if tp.lower > 0 else math.inf
-    return lo, (lo, hi), tp.m_slots
-
-
-def _feasibility_head(params: NetworkParams) -> tuple[float, float, float]:
+def _budgets(params: NetworkParams) -> tuple[float, float, float]:
+    """(mu_p, mu_s, floor): both outage budgets as exponent bounds, and the
+    primary exponent the chargers alone cause, which mu_p must exceed."""
     p = params
     ph = phi(p.alpha)
     pg = p_guard(p.lambda_p, p.r_g)
     if pg <= 0.0:
         raise InfeasibleError("guard zones cover the plane (p_g = 0)")
-    mp = mu_primary(p.eps_p)
     floor = ph * p.theta_p ** (2.0 / p.alpha) * p.d_p ** 2 * p.lambda_p
-    return mp, mu_secondary(p.eps_s, pg), floor
+    return mu_primary(p.eps_p), mu_secondary(p.eps_s, pg), floor
+
+
+def _p1_result(params: NetworkParams, p_s_star: float, active: float,
+               mu_p: float, mu_s: float) -> OptimizationResult:
+    """The P1 optimum at (p_s_star, active), with the deployment density that
+    realizes it (an interval when p_t is not exact)."""
+    tp = transmission_probability(replace(params, power_s=p_s_star))
+    lam_star = active / tp.conservative if tp.conservative > 0 else math.inf
+    lam_interval = None
+    if not tp.exact:
+        lam_interval = (lam_star, active / tp.lower if tp.lower > 0 else math.inf)
+    return OptimizationResult(
+        p_s_star=p_s_star, active_density=active,
+        throughput=spatial_throughput(active, 1.0, params.theta_s),
+        mu_p=mu_p, mu_s=mu_s, lambda_s_star=lam_star, lambda_s_interval=lam_interval,
+        m_at_optimum=tp.m_slots, binding=("primary", "secondary"))
 
 
 def solve_p1_closed_form(params: NetworkParams) -> OptimizationResult:
@@ -130,7 +132,7 @@ def solve_p1_closed_form(params: NetworkParams) -> OptimizationResult:
     p = params
     if p.noise != 0.0:
         raise ValueError("closed form requires zero noise; use solve_p1_numeric")
-    mp, ms, floor = _feasibility_head(p)
+    mp, ms, floor = _budgets(p)
     if mp <= floor:
         raise InfeasibleError(
             f"primary constraint unsatisfiable at lambda_s=0: mu_p={mp:.6g} "
@@ -139,12 +141,7 @@ def solve_p1_closed_form(params: NetworkParams) -> OptimizationResult:
     p_s_star = (p.theta_s / p.theta_p) * (p.d_s / p.d_p) ** p.alpha \
         * (ms / mp) ** (-p.alpha / 2.0) * p.power_p
     active = ms * (mp - floor) / (p.theta_s ** (2.0 / p.alpha) * p.d_s ** 2 * mp * ph)
-    lam_star, lam_interval, m = _lambda_fields(p, p_s_star, active)
-    return OptimizationResult(
-        p_s_star=p_s_star, active_density=active,
-        throughput=spatial_throughput(active, 1.0, p.theta_s),
-        mu_p=mp, mu_s=ms, lambda_s_star=lam_star, lambda_s_interval=lam_interval,
-        m_at_optimum=m, binding=("primary", "secondary"))
+    return _p1_result(p, p_s_star, active, mp, ms)
 
 
 def solve_p1_numeric(params: NetworkParams) -> OptimizationResult:
@@ -155,7 +152,7 @@ def solve_p1_numeric(params: NetworkParams) -> OptimizationResult:
     the closed form to better than 1e-9 relative at zero noise.
     """
     p = params
-    mp, ms, floor = _feasibility_head(p)
+    mp, ms, floor = _budgets(p)
     noise_term = p.theta_p * p.d_p ** p.alpha * p.noise / p.power_p
     if mp - noise_term <= floor:
         raise InfeasibleError(
@@ -178,13 +175,7 @@ def solve_p1_numeric(params: NetworkParams) -> OptimizationResult:
         if hi - lo <= BISECT_RTOL * hi:
             break
     p_s_star = 0.5 * (lo + hi)
-    active = f1(p_s_star)
-    lam_star, lam_interval, m = _lambda_fields(p, p_s_star, active)
-    return OptimizationResult(
-        p_s_star=p_s_star, active_density=active,
-        throughput=spatial_throughput(active, 1.0, p.theta_s),
-        mu_p=mp, mu_s=ms, lambda_s_star=lam_star, lambda_s_interval=lam_interval,
-        m_at_optimum=m, binding=("primary", "secondary"))
+    return _p1_result(p, p_s_star, f1(p_s_star), mp, ms)
 
 
 def solve_p2(params: NetworkParams) -> OptimizationResult:

@@ -21,47 +21,19 @@ from .analytics import p_guard, transmission_probability
 from .params import NetworkParams, charging_geometry
 
 __all__ = [
-    "PointPattern",
     "SimConfig",
     "SimEstimate",
     "ConditioningTooRareError",
-    "sample_hppp",
     "SlotSimulator",
-    "step_slot",
     "estimate_p_t",
     "interference_samples",
     "estimate_outage",
     "outage_curve",
 ]
 
-ROLE_PT = "PT"
-ROLE_ST = "ST"
-
 
 class ConditioningTooRareError(RuntimeError):
     """The rejection-sampling acceptance rate is below the usable floor."""
-
-
-@dataclass
-class PointPattern:
-    """A marked point set inside a square window of side L centered at 0.
-
-    Marks: ``role`` is PT or ST per point; ``battery`` holds the stored
-    energy of STs (0 for PTs); ``active`` flags transmitting points for the
-    most recent slot.
-    """
-
-    window_side: float
-    points: np.ndarray
-    role: np.ndarray
-    battery: np.ndarray
-    active: np.ndarray
-
-    def check(self, power_s: float | None = None) -> None:
-        half = self.window_side / 2.0
-        assert np.all(np.abs(self.points) <= half + 1e-9), "points left the window"
-        if power_s is not None:
-            assert np.all(self.battery <= power_s + 1e-12), "battery above capacity"
 
 
 @dataclass(frozen=True)
@@ -95,7 +67,6 @@ class SimConfig:
     n_slots: int = 200
     n_replications: int = 10
     master_seed: int = 0
-    boundary: str = "torus"
     harvest_rule: str = "nearest-PT"
     pt_mode: str = "redraw"
     warmup: int | None = None
@@ -105,8 +76,6 @@ class SimConfig:
             raise ValueError("n_slots must be at least 1")
         if self.n_replications < 1:
             raise ValueError("n_replications must be at least 1")
-        if self.boundary != "torus":
-            raise ValueError("only the torus boundary is implemented")
         if self.harvest_rule not in ("nearest-PT", "sum-in-zone"):
             raise ValueError(f"unknown harvest_rule {self.harvest_rule!r}")
         if self.pt_mode not in ("redraw", "thinning"):
@@ -128,16 +97,11 @@ class SimConfig:
         return max(10 * m_slots, 100)
 
 
-def sample_hppp(density: float, window_side: float, rng: np.random.Generator,
-                role: str = ROLE_ST) -> PointPattern:
-    """Draw one homogeneous Poisson pattern in the centered square window."""
-    if density < 0:
-        raise ValueError("density must be non-negative")
-    n = rng.poisson(density * window_side * window_side)
-    pts = rng.uniform(-window_side / 2.0, window_side / 2.0, size=(n, 2))
-    return PointPattern(window_side=window_side, points=pts,
-                        role=np.full(n, role, dtype="<U2"),
-                        battery=np.zeros(n), active=np.zeros(n, dtype=bool))
+def _hppp(density: float, window: float, rng: np.random.Generator) -> np.ndarray:
+    """Homogeneous Poisson points in the centered square window, shape (n, 2)."""
+    n = rng.poisson(density * window ** 2)
+    half = window / 2.0
+    return rng.uniform(-half, half, size=(n, 2))
 
 
 def _torus_d2(a: np.ndarray, b: np.ndarray, side: float) -> np.ndarray:
@@ -150,12 +114,6 @@ def _torus_d2(a: np.ndarray, b: np.ndarray, side: float) -> np.ndarray:
     dy *= dy
     dx += dy
     return dx
-
-
-def _origin_r(xy: np.ndarray) -> np.ndarray:
-    # Window is centered at the origin, so the min-image distance to the
-    # origin is the plain norm.
-    return np.hypot(xy[:, 0], xy[:, 1])
 
 
 class SlotSimulator:
@@ -174,20 +132,16 @@ class SlotSimulator:
     def __init__(self, params: NetworkParams, config: SimConfig,
                  rng: np.random.Generator, *, pt_xy: np.ndarray | None = None,
                  st_xy: np.ndarray | None = None, battery: np.ndarray | None = None,
-                 dedicated_pt: np.ndarray | None = None,
-                 window_side: float | None = None):
+                 dedicated_pt: np.ndarray | None = None):
         self.params = params
         self.config = config
         self.rng = rng
-        self.window = window_side if window_side is not None else config.resolved_window(params)
-        half = self.window / 2.0
+        self.window = config.resolved_window(params)
         if pt_xy is None:
             density = params.lambda_p if config.pt_mode == "redraw" else params.lambda_p_total
-            n_pt = rng.poisson(density * self.window ** 2)
-            pt_xy = rng.uniform(-half, half, size=(n_pt, 2))
+            pt_xy = _hppp(density, self.window, rng)
         if st_xy is None:
-            n_st = rng.poisson(params.lambda_s * self.window ** 2)
-            st_xy = rng.uniform(-half, half, size=(n_st, 2))
+            st_xy = _hppp(params.lambda_s, self.window, rng)
         self.pt_xy = np.asarray(pt_xy, dtype=float)
         self.st_xy = np.asarray(st_xy, dtype=float)
         self.battery = (np.zeros(len(self.st_xy)) if battery is None
@@ -199,7 +153,6 @@ class SlotSimulator:
         self._full_level = params.power_s * (1.0 - 1e-12)
         self._rg2 = params.r_g ** 2
         self._rh2 = params.r_h ** 2
-        self.slot_index = 0
 
     # -- per-slot state views ------------------------------------------------
 
@@ -230,11 +183,9 @@ class SlotSimulator:
 
     def step(self) -> None:
         p, rng = self.params, self.rng
-        half = self.window / 2.0
         if self.config.pt_mode == "redraw":
-            n_pt = rng.poisson(p.lambda_p * self.window ** 2)
-            self.pt_xy = rng.uniform(-half, half, size=(n_pt, 2))
-            self.pt_active = np.ones(n_pt, dtype=bool)
+            self.pt_xy = _hppp(p.lambda_p, self.window, rng)
+            self.pt_active = np.ones(len(self.pt_xy), dtype=bool)
         else:
             self.pt_active = rng.random(len(self.pt_xy)) < p.access_prob
 
@@ -267,31 +218,6 @@ class SlotSimulator:
         self.battery[transmit] = 0.0
         self.st_transmit = transmit
         self.st_harvest = harvest
-        self.slot_index += 1
-
-
-def step_slot(pattern: PointPattern, params: NetworkParams, config: SimConfig,
-              rng: np.random.Generator) -> PointPattern:
-    """Advance a combined PT/ST pattern by one slot and return the new state.
-
-    Thin convenience wrapper over :class:`SlotSimulator` for callers that
-    hold state as a single marked pattern.
-    """
-    is_pt = pattern.role == ROLE_PT
-    sim = SlotSimulator(params, config, rng,
-                        pt_xy=pattern.points[is_pt],
-                        st_xy=pattern.points[~is_pt],
-                        battery=pattern.battery[~is_pt],
-                        window_side=pattern.window_side)
-    sim.step()
-    n_pt, n_st = len(sim.pt_xy), sim.n_st
-    points = np.vstack([sim.pt_xy, sim.st_xy])
-    role = np.concatenate([np.full(n_pt, ROLE_PT, dtype="<U2"),
-                           np.full(n_st, ROLE_ST, dtype="<U2")])
-    battery = np.concatenate([np.zeros(n_pt), sim.battery])
-    active = np.concatenate([sim.pt_active, sim.st_transmit])
-    return PointPattern(window_side=pattern.window_side, points=points,
-                        role=role, battery=battery, active=active)
 
 
 # -- estimators ----------------------------------------------------------------
@@ -300,6 +226,27 @@ def step_slot(pattern: PointPattern, params: NetworkParams, config: SimConfig,
 def _rep_rngs(config: SimConfig) -> list[np.random.Generator]:
     seeds = np.random.SeedSequence(config.master_seed).spawn(config.n_replications)
     return [np.random.default_rng(s) for s in seeds]
+
+
+def _measured_slots(params: NetworkParams, config: SimConfig, **sim_kwargs):
+    """The slot driver: yields ``(sim, slots)`` once per replication.
+
+    ``sim`` is a fresh :class:`SlotSimulator` on the replication's stream;
+    iterating ``slots`` runs the warm-up, then yields once after each
+    measured slot, so the caller reads that slot's state (and may draw from
+    ``sim.rng``) before the next step.
+    """
+    warmup = config.resolved_warmup(charging_geometry(params).m_slots)
+
+    def slots(sim):
+        for i in range(warmup + config.n_slots):
+            sim.step()
+            if i >= warmup:
+                yield
+
+    for rng in _rep_rngs(config):
+        sim = SlotSimulator(params, config, rng, **sim_kwargs)
+        yield sim, slots(sim)
 
 
 def _combine(rep_means, rep_counts) -> SimEstimate:
@@ -319,20 +266,12 @@ def _combine(rep_means, rep_counts) -> SimEstimate:
 
 def estimate_p_t(params: NetworkParams, config: SimConfig) -> SimEstimate:
     """Long-run fraction of (transmitter, slot) pairs in transmitting mode."""
-    m = charging_geometry(params).m_slots
-    warmup = config.resolved_warmup(m)
     rep_means, rep_counts = [], []
-    for rng in _rep_rngs(config):
-        sim = SlotSimulator(params, config, rng)
+    for sim, slots in _measured_slots(params, config):
         if sim.n_st == 0:
             raise ValueError("window contains no secondary transmitters; "
                              "increase lambda_s or the window side")
-        for _ in range(warmup):
-            sim.step()
-        hits = 0
-        for _ in range(config.n_slots):
-            sim.step()
-            hits += sim.n_transmitting
+        hits = sum(sim.n_transmitting for _ in slots)
         rep_means.append(hits / (sim.n_st * config.n_slots))
         rep_counts.append(sim.n_st * config.n_slots)
     return _combine(rep_means, rep_counts)
@@ -343,7 +282,9 @@ def _shot_noise(xy: np.ndarray, power: float, alpha: float,
     """Aggregate received power at the origin with fresh unit-mean fading."""
     if len(xy) == 0:
         return 0.0
-    r = _origin_r(xy)
+    # The window is centered at the origin, so the min-image distance to
+    # the origin is the plain norm.
+    r = np.hypot(xy[:, 0], xy[:, 1])
     g = rng.exponential(size=len(xy))
     return float(np.sum(g * power * r ** -alpha))
 
@@ -378,9 +319,8 @@ def _cluster_transmitters(params: NetworkParams, window: float, kappa: float,
     """
     p = params
     half = window / 2.0
-    n_par = rng.poisson(kappa * window ** 2)
-    parents = rng.uniform(-half, half, size=(n_par, 2))
-    counts = rng.poisson(daughters, size=n_par)
+    parents = _hppp(kappa, window, rng)
+    counts = rng.poisson(daughters, size=len(parents))
     total = int(counts.sum())
     radius = p.r_h * np.sqrt(rng.random(total))
     angle = 2.0 * math.pi * rng.random(total)
@@ -388,9 +328,8 @@ def _cluster_transmitters(params: NetworkParams, window: float, kappa: float,
     xy[:, 0] += radius * np.cos(angle)
     xy[:, 1] += radius * np.sin(angle)
     xy = (xy + half) % window - half
-    n_pt = rng.poisson(p.lambda_p * window ** 2)
-    chargers = rng.uniform(-half, half, size=(n_pt, 2))
-    if p.r_g > 0 and n_pt and total:
+    chargers = _hppp(p.lambda_p, window, rng)
+    if p.r_g > 0 and len(chargers) and total:
         xy = xy[_torus_d2(xy, chargers, window).min(axis=1) > p.r_g ** 2]
     return xy
 
@@ -399,86 +338,55 @@ def interference_samples(params: NetworkParams, config: SimConfig, mode: str,
                          active_density: float | None = None) -> np.ndarray:
     """Per-slot aggregate secondary interference at the origin.
 
-    mode 'exact' ('exact-dynamics') measures the transmitting set produced
-    by the slotted dynamics.  'approx' ('hppp-approx') draws the paper's
-    surrogate, a fresh uniform Poisson pattern of the same average density
-    each slot; when ``active_density`` is not given it uses the analytic
-    transmit probability (interval midpoint if not exact).  'cluster' draws
-    the charge-cluster surrogate of :func:`_cluster_transmitters`, which
-    adds the two effects the uniform field lacks: neighbours that one
-    charger filled transmit together, and no secondary transmits within r_g
-    of a current charger.  Its mean density is p_t * lambda_s, with p_t the
-    analytic transmit probability (upper endpoint if not exact, as in
-    ``analyze``); ``active_density`` applies to the approx mode only.
-    Fading is redrawn every slot in all modes.
+    mode 'exact' measures the transmitting set produced by the slotted
+    dynamics.  'approx' draws the paper's surrogate, a fresh uniform Poisson
+    pattern of the same average density each slot; 'cluster' draws the
+    charge-cluster surrogate of :func:`_cluster_transmitters`, which adds the
+    two effects the uniform field lacks: neighbours that one charger filled
+    transmit together, and no secondary transmits within r_g of a current
+    charger.  Both surrogates have mean density p_t * lambda_s, with p_t the
+    analytic transmit probability (its conservative endpoint,
+    :attr:`TransmissionProbability.conservative`, when only an interval is
+    known, as in ``analyze``); ``active_density`` overrides that density in
+    the approx mode only.  Fading is redrawn every slot in all modes.
     """
-    mode_map = {"exact": "exact", "exact-dynamics": "exact",
-                "approx": "approx", "hppp-approx": "approx", "cluster": "cluster"}
-    if mode not in mode_map:
-        raise ValueError(f"unknown interference mode {mode!r}")
-    mode = mode_map[mode]
-    window = config.resolved_window(params)
-    samples = []
-    if mode == "approx":
-        if active_density is None:
-            tp = transmission_probability(params)
-            pt = tp.value if tp.exact else 0.5 * (tp.lower + tp.upper)
-            active_density = pt * params.lambda_s
-        half = window / 2.0
-        for rng in _rep_rngs(config):
-            for _ in range(config.n_slots):
-                n = rng.poisson(active_density * window ** 2)
-                xy = rng.uniform(-half, half, size=(n, 2))
-                samples.append(_shot_noise(xy, params.power_s, params.alpha, rng))
-        return np.asarray(samples)
-
-    if mode == "cluster":
-        kappa, daughters = _cluster_rates(params, transmission_probability(params).upper)
-        for rng in _rep_rngs(config):
-            for _ in range(config.n_slots):
-                xy = _cluster_transmitters(params, window, kappa, daughters, rng)
-                samples.append(_shot_noise(xy, params.power_s, params.alpha, rng))
-        return np.asarray(samples)
-
-    m = charging_geometry(params).m_slots
-    warmup = config.resolved_warmup(m)
-    for rng in _rep_rngs(config):
-        sim = SlotSimulator(params, config, rng)
-        for _ in range(warmup):
-            sim.step()
-        for _ in range(config.n_slots):
-            sim.step()
-            samples.append(_shot_noise(sim.transmitting_st_xy(),
-                                       params.power_s, params.alpha, rng))
-    return np.asarray(samples)
-
-
-def _sinr_samples(params: NetworkParams, config: SimConfig, side: str,
-                  conditioning: str, rng: np.random.Generator,
-                  warmup: int) -> np.ndarray:
-    """SINR samples at a probe receiver at the origin for one replication."""
     p = params
+    if mode not in ("exact", "approx", "cluster"):
+        raise ValueError(f"unknown interference mode {mode!r}")
+    if mode == "exact":
+        return np.asarray([_shot_noise(sim.transmitting_st_xy(), p.power_s, p.alpha, sim.rng)
+                           for sim, slots in _measured_slots(p, config) for _ in slots])
+    window = config.resolved_window(p)
+    if mode == "cluster":
+        kappa, daughters = _cluster_rates(p, transmission_probability(p).conservative)
+
+        def field(rng):
+            return _cluster_transmitters(p, window, kappa, daughters, rng)
+    else:
+        if active_density is None:
+            active_density = transmission_probability(p).conservative * p.lambda_s
+
+        def field(rng):
+            return _hppp(active_density, window, rng)
+    return np.asarray([_shot_noise(field(rng), p.power_s, p.alpha, rng)
+                       for rng in _rep_rngs(config) for _ in range(config.n_slots)])
+
+
+def _sinr_samples(sim: SlotSimulator, slots, side: str, conditioning: str) -> np.ndarray:
+    """SINR samples at a probe receiver at the origin over one replication."""
+    p, rng = sim.params, sim.rng
     if side == "primary":
-        link_from = np.array([p.d_p, 0.0])
-        sim = SlotSimulator(p, config, rng, dedicated_pt=link_from)
         signal_power, link_dist = p.power_p, p.d_p
     else:
-        link_from = np.array([p.d_s, 0.0])
-        sim = SlotSimulator(p, config, rng)
         signal_power, link_dist = p.power_s, p.d_s
-
-    for _ in range(warmup):
-        sim.step()
-
-    out = []
+    link_from = np.array([[link_dist, 0.0]])
+    reject = side == "secondary" and conditioning == "rejection" and p.r_g > 0
     rg2 = p.r_g ** 2
-    for _ in range(config.n_slots):
-        sim.step()
+    out = []
+    for _ in slots:
         act = sim.active_pt_xy()
-        if side == "secondary" and conditioning == "rejection" and p.r_g > 0 and len(act):
-            d2 = _torus_d2(act, link_from[None, :], sim.window)
-            if d2.min() <= rg2:
-                continue
+        if reject and len(act) and _torus_d2(act, link_from, sim.window).min() <= rg2:
+            continue
         i_p = 0.0 if side == "wit" else _shot_noise(act, p.power_p, p.alpha, rng)
         i_s = _shot_noise(sim.transmitting_st_xy(), p.power_s, p.alpha, rng)
         g = rng.exponential()
@@ -516,13 +424,12 @@ def outage_curve(params: NetworkParams, config: SimConfig, side: str,
                 f"conditioning event too rare: expected acceptance rate {pg:.3e}")
 
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    m = charging_geometry(params).m_slots
-    warmup = config.resolved_warmup(m)
+    sim_kwargs = {"dedicated_pt": np.array([params.d_p, 0.0])} if side == "primary" else {}
     per_theta_means = [[] for _ in thetas]
     per_theta_counts = [[] for _ in thetas]
     total_slots = total_kept = 0
-    for rng in _rep_rngs(config):
-        sinr = _sinr_samples(params, config, side, conditioning, rng, warmup)
+    for sim, slots in _measured_slots(params, config, **sim_kwargs):
+        sinr = _sinr_samples(sim, slots, side, conditioning)
         total_slots += config.n_slots
         total_kept += len(sinr)
         if len(sinr) == 0:

@@ -121,6 +121,16 @@ def test_simulate_deterministic_across_runs_and_workers(config_path, tmp_path,
     assert outs[0] == outs[1] == outs[2]
 
 
+@pytest.mark.parametrize("bad", ["abc", "2.5", "0", "-3"])
+def test_bad_thread_count_fails_cleanly(config_path, tmp_path, capsys, monkeypatch, bad):
+    monkeypatch.setenv("RFH_THREADS", bad)
+    rc = main(["simulate", "--config", config_path, "--out", str(tmp_path / "x.csv")]
+              + SIM_ARGS)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"rfharvest: error: RFH_THREADS must be a positive integer, got '{bad}'\n")
+
+
 def test_simulate_zero_replications_fails(config_path, tmp_path, capsys):
     rc = main(["simulate", "--config", config_path, "--out", str(tmp_path / "x.csv"),
                "--replications", "0", "--slots", "5"])

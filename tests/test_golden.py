@@ -1,0 +1,97 @@
+"""Golden CSVs: seeded CLI outputs that must not change by accident.
+
+Each case runs one CLI command at small settings and compares every file it
+writes, byte for byte, with the copy under ``tests/golden/``.  A change that
+alters an RNG stream or an output on purpose regenerates the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and names the changed files in CHANGES.md.
+"""
+
+import os
+import shutil
+import sys
+import tempfile
+
+import pytest
+
+from rfharvest.cli import main
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "golden")
+EXAMPLE = os.path.join(HERE, os.pardir, "configs", "example.json")
+
+SIM = ["--seed", "5", "--replications", "2", "--slots", "20", "--warmup", "10",
+       "--window", "40"]
+POWER_SWEEP = ["--sweep", "power_s=0.05:0.15:3"]
+FIGURE = ["--seed", "3", "--replications", "2", "--slots", "10", "--window", "40"]
+
+# name -> (argv without the output path, written as a file or into a directory)
+CASES = {
+    **{f"simulate_{t}": (["simulate", "--target", t] + SIM + POWER_SWEEP, "file")
+       for t in ("p_t", "outage-primary", "outage-secondary", "outage-wit")},
+    **{f"interference_{m}": (["simulate", "--target", "interference", "--mode", m] + SIM,
+                             "file")
+       for m in ("exact", "approx", "cluster")},
+    "interference-cdf": (["simulate", "--target", "interference-cdf"] + SIM, "file"),
+    "analyze": (["analyze", "--sweep", "power_s=0.05:0.4:6",
+                 "--sweep", "lambda_p_total=0.005:0.05:5"], "file"),
+    "optimize": (["optimize", "--sweep", "lambda_p_total=0.002:0.04:6",
+                  "--sweep", "noise=0:0.5:3"], "file"),
+    **{f"figure{i}": (["figure", "--id", str(i)] + FIGURE, "dir") for i in range(5, 14)},
+}
+
+
+def run_case(name: str, out_dir: str) -> list[str]:
+    """Run one case, writing into ``out_dir``; returns the file names written."""
+    argv, kind = CASES[name]
+    if kind == "file":
+        argv = argv[:1] + ["--config", EXAMPLE] + argv[1:] + [
+            "--out", os.path.join(out_dir, f"{name}.csv")]
+    else:
+        argv = argv + ["--out-dir", out_dir]
+    before = set(os.listdir(out_dir))
+    if main(argv) != 0:
+        raise RuntimeError(f"golden case {name} failed")
+    return sorted(set(os.listdir(out_dir)) - before)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output_unchanged(name, tmp_path, monkeypatch):
+    monkeypatch.setenv("RFH_THREADS", "1")
+    written = run_case(name, str(tmp_path))
+    assert written
+    for fname in written:
+        with open(os.path.join(GOLDEN, fname), "rb") as fh:
+            expected = fh.read()
+        assert (tmp_path / fname).read_bytes() == expected, fname
+
+
+def test_figure_all_writes_every_study_in_id_order(tmp_path, capsys):
+    # the union of the per-study golden files, printed study by study
+    assert main(["figure", "--id", "all"] + FIGURE + ["--out-dir", str(tmp_path)]) == 0
+    printed = [os.path.basename(line) for line in capsys.readouterr().out.splitlines()]
+    studies = [int(f[len("fig"):].split("_")[0]) for f in printed]
+    assert studies == sorted(studies) and set(studies) == set(range(5, 14))
+    expected = sorted(f for f in os.listdir(GOLDEN) if f.startswith("fig"))
+    assert sorted(printed) == sorted(os.listdir(tmp_path)) == expected
+    for fname in printed:
+        with open(os.path.join(GOLDEN, fname), "rb") as fh:
+            assert (tmp_path / fname).read_bytes() == fh.read(), fname
+
+
+def regenerate() -> int:
+    os.environ["RFH_THREADS"] = "1"
+    shutil.rmtree(GOLDEN, ignore_errors=True)
+    os.makedirs(GOLDEN)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(CASES):
+            for fname in run_case(name, tmp):
+                shutil.move(os.path.join(tmp, fname), os.path.join(GOLDEN, fname))
+    print(f"wrote {len(os.listdir(GOLDEN))} files to {GOLDEN}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate())

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from rfharvest import (ConditioningTooRareError, PointPattern, SimConfig,
-                       SlotSimulator, estimate_outage, estimate_p_t,
+from rfharvest import (ConditioningTooRareError, SimConfig, SlotSimulator,
+                       charging_geometry, estimate_outage, estimate_p_t,
                        interference_samples, outage_curve, p_guard, phi,
-                       sample_hppp, step_slot, transmission_probability)
-from rfharvest.sim import (_cluster_rates, _cluster_transmitters, _combine, _rep_rngs,
-                           _torus_d2)
+                       transmission_probability)
+from rfharvest.sim import (_cluster_rates, _cluster_transmitters, _combine, _hppp,
+                           _rep_rngs, _torus_d2)
 
 from conftest import make_params
 
@@ -28,13 +28,12 @@ def small_cfg(**kw):
 
 
 def test_zero_density_gives_empty_pattern():
-    pat = sample_hppp(0.0, 50.0, RNG(0))
-    assert len(pat.points) == 0
+    assert len(_hppp(0.0, 50.0, RNG(0))) == 0
 
 
 def test_counts_are_poisson():
     rng = RNG(1)
-    counts = np.array([len(sample_hppp(0.05, 10.0, rng).points) for _ in range(8000)])
+    counts = np.array([len(_hppp(0.05, 10.0, rng)) for _ in range(8000)])
     assert counts.mean() == pytest.approx(5.0, abs=0.15)
     assert counts.var() == pytest.approx(5.0, rel=0.1)
     # chi-square goodness of fit against the Poisson(5) pmf
@@ -47,17 +46,14 @@ def test_counts_are_poisson():
 
 
 def test_points_stay_in_window():
-    pat = sample_hppp(0.1, 30.0, RNG(2))
-    pat.check()
-    assert np.all(np.abs(pat.points) <= 15.0)
+    assert np.all(np.abs(_hppp(0.1, 30.0, RNG(2))) <= 15.0)
 
 
 def test_disk_emptiness_frequency_matches_void_probability():
     rng = RNG(3)
     r_g, lam = 3.0, 0.01
     hits = sum(
-        not np.any(_torus_d2(sample_hppp(lam, 100.0, rng).points,
-                             np.zeros((1, 2)), 100.0) <= r_g ** 2)
+        not np.any(_torus_d2(_hppp(lam, 100.0, rng), np.zeros((1, 2)), 100.0) <= r_g ** 2)
         for _ in range(4000))
     est = hits / 4000
     sigma = math.sqrt(est * (1 - est) / 4000)
@@ -129,29 +125,10 @@ def test_sum_rule_charges_at_least_as_fast():
         cfg = small_cfg(harvest_rule=rule, pt_mode="thinning")
         sim = SlotSimulator(p, cfg, RNG(13), pt_xy=pts.copy(), st_xy=sts.copy())
         sim.step()
+        # thinning keeps the deployment: both layouts survive the slot
+        assert len(sim.pt_xy) == 60 and sim.n_st == 200
         total[rule] = sim.battery.sum()
     assert total["sum-in-zone"] >= total["nearest-PT"]
-
-
-def test_step_slot_wrapper_keeps_marks_consistent():
-    rng = RNG(7)
-    p = make_params(lambda_s=0.05, power_s=0.1)
-    pts = sample_hppp(p.lambda_p, 60.0, rng, role="PT")
-    sts = sample_hppp(p.lambda_s, 60.0, rng, role="ST")
-    pattern = PointPattern(
-        window_side=60.0,
-        points=np.vstack([pts.points, sts.points]),
-        role=np.concatenate([pts.role, sts.role]),
-        battery=np.concatenate([pts.battery, sts.battery]),
-        active=np.concatenate([pts.active, sts.active]))
-    out = pattern
-    for _ in range(5):
-        out = step_slot(out, p, small_cfg(pt_mode="thinning"), rng)
-    assert out.window_side == 60.0
-    assert (out.role == "ST").sum() == len(sts.points)
-    assert (out.role == "PT").sum() == len(pts.points)
-    out.check(power_s=p.power_s)
-    assert not out.active[(out.role == "PT") & ~out.active].any()
 
 
 # -- estimators --------------------------------------------------------------------
@@ -202,8 +179,8 @@ def test_void_probability_estimate_is_window_stable():
         reps = []
         for _ in range(8):
             hits = sum(
-                not np.any(_torus_d2(sample_hppp(lam, side, rng).points,
-                                     np.zeros((1, 2)), side) <= r_g ** 2)
+                not np.any(_torus_d2(_hppp(lam, side, rng), np.zeros((1, 2)), side)
+                           <= r_g ** 2)
                 for _ in range(250))
             reps.append(hits / 250)
         out[side] = _combine(reps, [250] * 8)
@@ -220,11 +197,22 @@ def test_interference_zero_without_chargers():
 def test_interference_mode_names():
     p = make_params(lambda_s=0.05)
     cfg = small_cfg(n_slots=5, n_replications=2)
-    a = interference_samples(p, cfg, "approx")
-    b = interference_samples(p, cfg, "hppp-approx")
-    assert np.array_equal(a, b)
-    with pytest.raises(ValueError, match="unknown interference mode"):
-        interference_samples(p, cfg, "both")
+    # the former aliases of approx and exact are gone
+    for name in ("hppp-approx", "exact-dynamics", "both"):
+        with pytest.raises(ValueError, match="unknown interference mode"):
+            interference_samples(p, cfg, name)
+
+
+def test_approx_mode_takes_the_conservative_pt_endpoint():
+    # In the interval regime (m >= 3) the uniform field's density is the
+    # upper endpoint of p_t times lambda_s, as in analyze and the cluster mode
+    p = make_params(r_g=4.0, r_h=1.5, power_p=2.0, power_s=0.16, lambda_s=0.2)
+    tp = transmission_probability(p)
+    assert charging_geometry(p).m_slots >= 3 and tp.lower < tp.upper
+    cfg = small_cfg(n_slots=10, n_replications=2)
+    assert np.array_equal(interference_samples(p, cfg, "approx"),
+                          interference_samples(p, cfg, "approx",
+                                               active_density=tp.upper * p.lambda_s))
 
 
 def test_cluster_field_mean_count_matches_transmitting_density():
@@ -291,8 +279,6 @@ def test_simconfig_validation():
         SimConfig(n_slots=0)
     with pytest.raises(ValueError):
         SimConfig(n_replications=0)
-    with pytest.raises(ValueError):
-        SimConfig(boundary="mirror")
     with pytest.raises(ValueError):
         SimConfig(harvest_rule="all")
     with pytest.raises(ValueError):
