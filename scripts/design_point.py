@@ -10,8 +10,7 @@ import argparse
 import dataclasses
 import sys
 
-from rfharvest import (SimConfig, estimate_p_t, load_params, solve_p1_closed_form,
-                       solve_p1_numeric, solve_p2, transmission_probability)
+from rfharvest import SimConfig, estimate_p_t, load_params, solve, transmission_probability
 
 
 def main() -> int:
@@ -23,12 +22,7 @@ def main() -> int:
     args = ap.parse_args()
 
     p = load_params(args.config)
-    if p.r_g == 0:
-        res = solve_p2(p)
-    elif p.noise > 0:
-        res = solve_p1_numeric(p)
-    else:
-        res = solve_p1_closed_form(p)
+    res = solve(p)
 
     print(f"optimal transmit power : {res.p_s_star:.6g}")
     print(f"active density         : {res.active_density:.6g}")

@@ -18,6 +18,6 @@ from .sim import (SimConfig, SimEstimate, ConditioningTooRareError, SlotSimulato
                   estimate_p_t, interference_samples, estimate_outage, outage_curve)
 from .optimize import (OptimizationResult, InfeasibleError, mu_primary, mu_secondary,
                        constraint_curves, solve_p1_closed_form, solve_p1_numeric,
-                       solve_p2)
+                       solve_p2, solve)
 
 __version__ = "0.1.0"

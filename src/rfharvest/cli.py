@@ -23,9 +23,9 @@ import numpy as np
 from . import __version__
 from .analytics import (outage_primary, outage_secondary, transmission_probability,
                         wit_transmission_probability, zone_probabilities)
-from .optimize import InfeasibleError, solve_p1_closed_form, solve_p1_numeric, solve_p2
+from .optimize import InfeasibleError, solve, solve_p1_closed_form
 from .params import (NetworkParams, ParameterError, charging_geometry, load_params,
-                     params_from_dict, params_to_dict, validate)
+                     params_to_dict, validate)
 from .sim import (ConditioningTooRareError, SimConfig, estimate_outage, estimate_p_t,
                   interference_samples, outage_curve)
 
@@ -114,25 +114,17 @@ def _write_csv(path, header_lines, columns, rows) -> None:
 
 
 def _headers(command: str, params: NetworkParams, *, sweeps=(), seed=None,
-             replications=None, slots=None, mode=None, target=None,
-             extra=()) -> list[str]:
+             replications=None, slots=None, mode=None, target=None) -> list[str]:
     lines = [f"rfharvest {__version__}", f"command: {command}",
              "config: " + json.dumps(params_to_dict(params), sort_keys=True,
                                      separators=(",", ":"))]
     for s in sweeps:
         lines.append(f"sweep: {s.name}={s.start:g}:{s.stop:g}:{s.n_points}"
                      + (":log" if s.scale == "log" else ""))
-    if seed is not None:
-        lines.append(f"seed: {seed}")
-    if replications is not None:
-        lines.append(f"replications: {replications}")
-    if slots is not None:
-        lines.append(f"slots: {slots}")
-    if mode is not None:
-        lines.append(f"mode: {mode}")
-    if target is not None:
-        lines.append(f"target: {target}")
-    lines.extend(extra)
+    for key, value in (("seed", seed), ("replications", replications), ("slots", slots),
+                       ("mode", mode), ("target", target)):
+        if value is not None:
+            lines.append(f"{key}: {value}")
     return lines
 
 
@@ -201,43 +193,38 @@ def cmd_analyze(args) -> int:
 # -- simulate ------------------------------------------------------------------
 
 
-def _simulate_point(job) -> list:
-    params_dict, config_kwargs, target, seed = job
-    params = params_from_dict(params_dict, warn=False)
-    config = SimConfig(master_seed=seed, **config_kwargs)
-    if target == "p_t":
-        est = estimate_p_t(params, config)
-    else:
-        est = estimate_outage(params, config, target.removeprefix("outage-"))
+def _est_columns(est) -> list:
     return [est.mean, est.half_width, est.n_samples]
+
+
+def _simulate_point(job) -> list:
+    params, config, target = job
+    if target == "p_t":
+        return _est_columns(estimate_p_t(params, config))
+    return _est_columns(estimate_outage(params, config, target.removeprefix("outage-")))
 
 
 CDF_COLUMNS = ("quantile", "i_s_exact", "i_s_approx")
 
 
-def _cdf_rows(params: NetworkParams, config: SimConfig) -> list:
-    """Matched quantiles of the exact and approx interference samples."""
+def _cdf(params: NetworkParams, config: SimConfig) -> tuple:
+    """Matched quantile levels and sorted exact and approx interference samples."""
     exact = np.sort(interference_samples(params, config, "exact"))
     approx = np.sort(interference_samples(params, config, "approx"))
     n = min(len(exact), len(approx))
-    qs = np.arange(1, n + 1) / n
-    return [[qs[i], exact[i], approx[i]] for i in range(n)]
+    return np.arange(1, n + 1) / n, exact[:n], approx[:n]
 
 
 def cmd_simulate(args) -> int:
-    config_kwargs = dict(n_slots=args.slots, n_replications=args.replications)
-    if args.window is not None:
-        config_kwargs["window_side"] = args.window
-    if args.warmup is not None:
-        config_kwargs["warmup"] = args.warmup
-    SimConfig(master_seed=0, **config_kwargs)  # fail fast on bad values
+    config = SimConfig(n_slots=args.slots, n_replications=args.replications,
+                       window_side=args.window, warmup=args.warmup)
     header_kw = dict(seed=args.seed, replications=args.replications, slots=args.slots,
                      mode=args.mode, target=args.target)
 
     if args.target not in ("interference", "interference-cdf"):
         def point_rows(points):
             return _pooled_map(_simulate_point, [
-                (params_to_dict(p), config_kwargs, args.target, _point_seed(args.seed, i))
+                (p, replace(config, master_seed=_point_seed(args.seed, i)), args.target)
                 for i, p in enumerate(points)])
         return _write_sweep(args, "simulate", ("estimate", "half_width", "n_samples"),
                             point_rows, **header_kw)
@@ -245,13 +232,13 @@ def cmd_simulate(args) -> int:
     if args.sweep:
         raise ValueError(f"target {args.target} does not support sweeps")
     base = load_params(args.config)
-    config = SimConfig(master_seed=_point_seed(args.seed, 0), **config_kwargs)
+    config = replace(config, master_seed=_point_seed(args.seed, 0))
     headers = _headers("simulate", base, **header_kw)
     if args.target == "interference":
         samples = interference_samples(base, config, args.mode)
         _write_csv(args.out, headers, ("i_s",), [[v] for v in samples])
     else:
-        _write_csv(args.out, headers, CDF_COLUMNS, _cdf_rows(base, config))
+        _write_csv(args.out, headers, CDF_COLUMNS, zip(*_cdf(base, config)))
     return 0
 
 
@@ -265,12 +252,7 @@ OPTIMIZE_COLUMNS = ("status", "problem", "p_s_star", "m_at_optimum", "active_den
 def _optimize_row(params: NetworkParams) -> list:
     problem = "p2" if params.r_g == 0 else "p1"
     try:
-        if problem == "p2":
-            res = solve_p2(params)
-        elif params.noise > 0:
-            res = solve_p1_numeric(params)
-        else:
-            res = solve_p1_closed_form(params)
+        res = solve(params)
     except InfeasibleError:
         return ["infeasible", problem] + [float("nan")] * 9 + [""]
     lo, hi = res.lambda_s_interval if res.lambda_s_interval else (float("nan"),) * 2
@@ -299,12 +281,18 @@ def _study_params(**kw) -> NetworkParams:
 
 
 def _sim_cfg(args, *, replications, slots, seed_index=0) -> SimConfig:
-    kw = dict(n_replications=replications if args.replications is None else args.replications,
-              n_slots=slots if args.slots is None else args.slots,
-              master_seed=_point_seed(args.seed, seed_index))
-    if args.window is not None:
-        kw["window_side"] = args.window
-    return SimConfig(**kw)
+    return SimConfig(
+        n_replications=replications if args.replications is None else args.replications,
+        n_slots=slots if args.slots is None else args.slots,
+        master_seed=_point_seed(args.seed, seed_index), window_side=args.window)
+
+
+def _curve(out_dir, name, header, columns, grid, tails) -> str:
+    """Write one study curve to ``out_dir/name``: a row per grid value, the
+    value followed by its entry of ``tails``.  Returns the path."""
+    path = os.path.join(out_dir, name)
+    _write_csv(path, header, columns, [[float(v), *tail] for v, tail in zip(grid, tails)])
+    return path
 
 
 def _pt_columns(tp) -> list:
@@ -317,31 +305,27 @@ def _figure_5(args, out_dir) -> list[str]:
     cols = [_pt_columns(transmission_probability(replace(base, power_s=float(ps))))
             for ps in grid]
     hdr = _headers("figure 5", base, seed=args.seed)
-    files = [_emit(out_dir, f"fig5_pt_{curve}.csv", hdr, ("power_s", "p_t"),
-                   [[float(ps), c[k]] for ps, c in zip(grid, cols)])
+    files = [_curve(out_dir, f"fig5_pt_{curve}.csv", hdr, ("power_s", "p_t"), grid,
+                    [[c[k]] for c in cols])
              for k, curve in enumerate(("exact", "lower", "upper"), start=1)]
-    rows = []
-    for i, ps in enumerate(grid):
-        p = replace(base, power_s=float(ps))
-        cfg = _sim_cfg(args, replications=4, slots=60, seed_index=i)
-        est = estimate_p_t(p, cfg)
-        rows.append([float(ps), est.mean, est.half_width, est.n_samples])
-    files.append(_emit(out_dir, "fig5_pt_sim.csv", hdr,
-                       ("power_s", "estimate", "half_width", "n_samples"), rows))
+    ests = [estimate_p_t(replace(base, power_s=float(ps)),
+                         _sim_cfg(args, replications=4, slots=60, seed_index=i))
+            for i, ps in enumerate(grid)]
+    files.append(_curve(out_dir, "fig5_pt_sim.csv", hdr,
+                        ("power_s", "estimate", "half_width", "n_samples"), grid,
+                        map(_est_columns, ests)))
     return files
 
 
 def _pt_curves(out_dir, figure, prefix, base, field, column, grid, pt_fn) -> list[str]:
     """p_t from ``pt_fn`` against ``field`` over ``grid``, one file per
     charging regime: power_s 0.1 (label m1) and 0.2 (m2)."""
-    files = []
-    for label, ps in (("m1", 0.1), ("m2", 0.2)):
-        rows = [[float(v)] + _pt_columns(pt_fn(replace(base, **{field: float(v)}, power_s=ps)))
-                for v in grid]
-        hdr = _headers(f"figure {figure} ({label})", replace(base, power_s=ps))
-        files.append(_emit(out_dir, f"{prefix}_{label}.csv", hdr,
-                           (column, "m_slots", "p_t_exact", "p_t_lower", "p_t_upper"), rows))
-    return files
+    return [_curve(out_dir, f"{prefix}_{label}.csv",
+                   _headers(f"figure {figure} ({label})", replace(base, power_s=ps)),
+                   (column, "m_slots", "p_t_exact", "p_t_lower", "p_t_upper"), grid,
+                   [_pt_columns(pt_fn(replace(base, **{field: float(v)}, power_s=ps)))
+                    for v in grid])
+            for label, ps in (("m1", 0.1), ("m2", 0.2))]
 
 
 def _figure_6(args, out_dir) -> list[str]:
@@ -361,82 +345,76 @@ def _figure_8(args, out_dir) -> list[str]:
     cfg = _sim_cfg(args, replications=10, slots=200)
     hdr = _headers("figure 8", base, seed=args.seed,
                    replications=cfg.n_replications, slots=cfg.n_slots)
-    return [_emit(out_dir, "fig8_interference_cdf.csv", hdr, CDF_COLUMNS,
-                  _cdf_rows(base, cfg))]
+    qs, exact, approx = _cdf(base, cfg)
+    return [_curve(out_dir, "fig8_interference_cdf.csv", hdr, CDF_COLUMNS, qs,
+                   zip(exact, approx))]
+
+
+def _outage_study(args, out_dir, figure, base, column, grid, fields, simulate) -> list[str]:
+    """Figures 9 and 10: primary and secondary outage against ``column`` over
+    ``grid``, whose values set every parameter in ``fields``.  The analytic
+    curves take the conservative active density at each point;
+    ``simulate(side, k)`` returns the k-th side's estimates, one per grid
+    value."""
+    hdr = _headers(f"figure {figure}", base, seed=args.seed)
+    prim, sec = [], []
+    for v in grid:
+        p = replace(base, **dict.fromkeys(fields, float(v)))
+        active = transmission_probability(p).conservative * p.lambda_s
+        prim.append([outage_primary(p, active).probability])
+        out = outage_secondary(p, active)
+        sec.append([out.probability, int(out.clamped)])
+    files = [
+        _curve(out_dir, f"fig{figure}_outage_primary_analytic.csv", hdr,
+               (column, "outage"), grid, prim),
+        _curve(out_dir, f"fig{figure}_outage_secondary_analytic.csv", hdr,
+               (column, "outage", "clamped"), grid, sec),
+    ]
+    for k, side in enumerate(("primary", "secondary")):
+        files.append(_curve(out_dir, f"fig{figure}_outage_{side}_sim.csv", hdr,
+                            (column, "estimate", "half_width", "n_samples"), grid,
+                            map(_est_columns, simulate(side, k))))
+    return files
 
 
 def _figure_9(args, out_dir) -> list[str]:
     base = _study_params(r_g=3.0, r_h=1.0, power_p=1.0, power_s=0.1, lambda_s=0.1)
     thetas = np.geomspace(1.0, 1000.0, 13)
-    active = transmission_probability(base).conservative * base.lambda_s
-    hdr = _headers("figure 9", base, seed=args.seed)
-    prim, sec = [], []
-    for th in thetas:
-        op = outage_primary(replace(base, theta_p=float(th)), active)
-        prim.append([float(th), op.probability])
-        osec = outage_secondary(replace(base, theta_s=float(th)), active)
-        sec.append([float(th), osec.probability, int(osec.clamped)])
-    files = [
-        _emit(out_dir, "fig9_outage_primary_analytic.csv", hdr, ("theta", "outage"), prim),
-        _emit(out_dir, "fig9_outage_secondary_analytic.csv", hdr,
-              ("theta", "outage", "clamped"), sec),
-    ]
-    for idx, side in enumerate(("primary", "secondary")):
-        cfg = _sim_cfg(args, replications=8, slots=150, seed_index=idx)
-        ests = outage_curve(base, cfg, side, thetas)
-        rows = [[float(th), e.mean, e.half_width, e.n_samples]
-                for th, e in zip(thetas, ests)]
-        files.append(_emit(out_dir, f"fig9_outage_{side}_sim.csv", hdr,
-                           ("theta", "estimate", "half_width", "n_samples"), rows))
-    return files
+
+    def simulate(side, k):
+        return outage_curve(base, _sim_cfg(args, replications=8, slots=150, seed_index=k),
+                            side, thetas)
+    return _outage_study(args, out_dir, 9, base, "theta", thetas, ("theta_p", "theta_s"),
+                         simulate)
 
 
 def _figure_10(args, out_dir) -> list[str]:
     base = _study_params(r_g=4.0, r_h=1.0, power_p=2.0, lambda_s=0.2)
     grid = np.linspace(0.02, 0.4, 10)
-    actives = [transmission_probability(replace(base, power_s=float(ps))).conservative
-               * base.lambda_s for ps in grid]
-    hdr = _headers("figure 10", base, seed=args.seed)
-    prim, sec = [], []
-    for ps, active in zip(grid, actives):
-        p = replace(base, power_s=float(ps))
-        prim.append([float(ps), outage_primary(p, active).probability])
-        out = outage_secondary(p, active)
-        sec.append([float(ps), out.probability, int(out.clamped)])
-    files = [
-        _emit(out_dir, "fig10_outage_primary_analytic.csv", hdr, ("power_s", "outage"), prim),
-        _emit(out_dir, "fig10_outage_secondary_analytic.csv", hdr,
-              ("power_s", "outage", "clamped"), sec),
-    ]
-    for side_idx, side in enumerate(("primary", "secondary")):
-        rows = []
-        for i, ps in enumerate(grid):
-            p = replace(base, power_s=float(ps))
-            cfg = _sim_cfg(args, replications=6, slots=120,
-                           seed_index=side_idx * len(grid) + i)
-            est = estimate_outage(p, cfg, side)
-            rows.append([float(ps), est.mean, est.half_width, est.n_samples])
-        files.append(_emit(out_dir, f"fig10_outage_{side}_sim.csv", hdr,
-                           ("power_s", "estimate", "half_width", "n_samples"), rows))
-    return files
+
+    def simulate(side, k):
+        return [estimate_outage(replace(base, power_s=float(ps)),
+                                _sim_cfg(args, replications=6, slots=120,
+                                         seed_index=k * len(grid) + i), side)
+                for i, ps in enumerate(grid)]
+    return _outage_study(args, out_dir, 10, base, "power_s", grid, ("power_s",), simulate)
 
 
 def _optimum_curves(args, out_dir, prefix, field, grid):
     base = _study_params(r_g=3.0, r_h=1.0, power_p=2.0, eps_s=0.3)
-    files = []
-    for eps in (0.1, 0.2, 0.3):
-        rows = []
-        for lam in grid:
-            p = replace(base, lambda_p_total=float(lam), eps_p=eps)
-            try:
-                rows.append([float(lam), getattr(solve_p1_closed_form(p), field)])
-            except InfeasibleError:
-                rows.append([float(lam), float("nan")])
-        hdr = _headers(f"{prefix} (eps_p={eps:g})", replace(base, eps_p=eps),
-                       seed=args.seed)
-        name = f"{prefix.replace(' ', '')}_eps{eps:g}.csv"
-        files.append(_emit(out_dir, name, hdr, ("lambda_p", field), rows))
-    return files
+
+    def optimum(p):
+        try:
+            return getattr(solve_p1_closed_form(p), field)
+        except InfeasibleError:
+            return float("nan")
+    return [_curve(out_dir, f"{prefix}_eps{eps:g}.csv",
+                   _headers(f"{prefix} (eps_p={eps:g})", replace(base, eps_p=eps),
+                            seed=args.seed),
+                   ("lambda_p", field), grid,
+                   [[optimum(replace(base, lambda_p_total=float(lam), eps_p=eps))]
+                    for lam in grid])
+            for eps in (0.1, 0.2, 0.3)]
 
 
 def _figure_11(args, out_dir) -> list[str]:
@@ -458,12 +436,6 @@ def _figure_13(args, out_dir) -> list[str]:
 
 _FIGURES = {5: _figure_5, 6: _figure_6, 7: _figure_7, 8: _figure_8, 9: _figure_9,
             10: _figure_10, 11: _figure_11, 12: _figure_12, 13: _figure_13}
-
-
-def _emit(out_dir, name, header_lines, columns, rows) -> str:
-    path = os.path.join(out_dir, name)
-    _write_csv(path, header_lines, columns, rows)
-    return path
 
 
 def cmd_figure(args) -> int:

@@ -24,6 +24,7 @@ __all__ = [
     "solve_p1_closed_form",
     "solve_p1_numeric",
     "solve_p2",
+    "solve",
 ]
 
 BISECT_MAX_ITER = 200
@@ -201,3 +202,14 @@ def solve_p2(params: NetworkParams) -> OptimizationResult:
         throughput=spatial_throughput(active, 1.0, p.theta_s),
         mu_p=None, mu_s=mus, lambda_s_star=lam_star, lambda_s_interval=None,
         m_at_optimum=m, binding=("secondary",), family=True)
+
+
+def solve(params: NetworkParams) -> OptimizationResult:
+    """The optimum by the solver that fits ``params``: P2 when r_g = 0 (no
+    guard zones, dedicated chargers), else P1 in closed form at zero noise
+    and by bisection otherwise."""
+    if params.r_g == 0:
+        return solve_p2(params)
+    if params.noise > 0:
+        return solve_p1_numeric(params)
+    return solve_p1_closed_form(params)

@@ -23,9 +23,9 @@ __all__ = [
     "load_params",
 ]
 
-# Default ratio above which a "much smaller than" modeling assumption
-# triggers a RegimeWarning: warn when small/large > 1/5.
-DEFAULT_REGIME_RATIO = 0.2
+# Ratio above which a "much smaller than" modeling assumption triggers a
+# RegimeWarning: warn when small/large > 1/5.
+REGIME_RATIO = 0.2
 
 
 class ParameterError(ValueError):
@@ -105,8 +105,7 @@ def _finite(x) -> bool:
     return isinstance(x, (int, float)) and math.isfinite(x)
 
 
-def validate(params: NetworkParams, *, regime_ratio: float = DEFAULT_REGIME_RATIO,
-             warn: bool = True) -> NetworkParams:
+def validate(params: NetworkParams, *, warn: bool = True) -> NetworkParams:
     """Check every parameter invariant, raising ParameterError on failure.
 
     Collects one diagnostic per violated invariant instead of stopping at
@@ -152,11 +151,11 @@ def validate(params: NetworkParams, *, regime_ratio: float = DEFAULT_REGIME_RATI
         raise ParameterError(problems)
 
     if warn:
-        _warn_regime(p, regime_ratio)
+        _warn_regime(p)
     return p
 
 
-def _warn_regime(p: NetworkParams, ratio: float) -> None:
+def _warn_regime(p: NetworkParams) -> None:
     checks = []
     if p.r_g > 0:
         checks.append(("d_p", p.d_p, "r_g", p.r_g))
@@ -166,7 +165,7 @@ def _warn_regime(p: NetworkParams, ratio: float) -> None:
         checks.append(("power_s", p.power_s, "power_p", p.power_p))
     checks.append(("pi*r_h^2*lambda_p", math.pi * p.r_h**2 * p.lambda_p, "unity", 1.0))
     for small_name, small, large_name, large in checks:
-        if small > ratio * large:
+        if small > REGIME_RATIO * large:
             warnings.warn(
                 f"{small_name}={small:g} is not much smaller than {large_name} ({large:g}); "
                 "analytic approximations assume clear separation",
@@ -194,10 +193,13 @@ def charging_geometry(params: NetworkParams) -> ChargingGeometry:
     h1 = h2 = None
     if m >= 2:
         h1 = (p.power_s / (p.eta * p.power_p)) ** (-1.0 / p.alpha)
-        assert h1 < p.r_h
     if m >= 3:
         h2 = (p.power_s / (2.0 * p.eta * p.power_p)) ** (-1.0 / p.alpha)
-        assert h1 < h2 < p.r_h
+    radii = [r for r in (h1, h2, p.r_h) if r is not None]
+    if any(a >= b for a, b in zip(radii, radii[1:])):
+        raise ParameterError([
+            f"charging radii {radii} (h1, h2 if m >= 3, r_h) must increase; "
+            f"power_s={p.power_s!r} is too close to a charging threshold at alpha={p.alpha!r}"])
     return ChargingGeometry(m_slots=m, h1=h1, h2=h2)
 
 
@@ -206,7 +208,7 @@ _REQUIRED = {"lambda_p_total", "lambda_s", "power_p", "power_s", "alpha", "eta",
              "r_g", "r_h", "d_p", "d_s", "theta_p", "theta_s", "eps_p", "eps_s"}
 
 
-def params_from_dict(data: dict, *, check: bool = True, warn: bool = True) -> NetworkParams:
+def params_from_dict(data: dict, *, warn: bool = True) -> NetworkParams:
     """Build parameters from a mapping with exactly the documented keys.
 
     Unknown keys are an error so that typos in sweep scripts fail loudly.
@@ -217,20 +219,17 @@ def params_from_dict(data: dict, *, check: bool = True, warn: bool = True) -> Ne
     missing = sorted(_REQUIRED - set(data))
     if missing:
         raise ParameterError([f"missing parameter(s): {', '.join(missing)}"])
-    p = NetworkParams(**{k: float(v) for k, v in data.items()})
-    if check:
-        validate(p, warn=warn)
-    return p
+    return validate(NetworkParams(**{k: float(v) for k, v in data.items()}), warn=warn)
 
 
 def params_to_dict(params: NetworkParams) -> dict:
     return {f.name: getattr(params, f.name) for f in fields(NetworkParams)}
 
 
-def load_params(path, *, check: bool = True, warn: bool = True) -> NetworkParams:
+def load_params(path, *, warn: bool = True) -> NetworkParams:
     """Read a JSON configuration document holding one parameter set."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ParameterError(["configuration document must be a JSON object"])
-    return params_from_dict(data, check=check, warn=warn)
+    return params_from_dict(data, warn=warn)

@@ -52,23 +52,12 @@ class SimConfig:
     window_side   None picks max(20 * r_g, 100); must be >= 4 * r_g
     n_slots       measured slots per replication (after warm-up)
     warmup        discarded leading slots; None picks max(10 * m_slots, 100)
-    pt_mode       'redraw' resamples the active primary pattern each slot
-                  (matches the per-slot independence the chain analysis
-                  assumes); 'thinning' keeps a fixed deployment and thins it
-                  by access_prob each slot (a physically fixed layout whose
-                  long-run behavior is *not* the analytic one when
-                  access_prob is near 1)
-    harvest_rule  'nearest-PT' credits only the nearest active charger
-                  (matches the analysis); 'sum-in-zone' adds every charger
-                  within r_h, measuring how conservative the former is
     """
 
     window_side: float | None = None
     n_slots: int = 200
     n_replications: int = 10
     master_seed: int = 0
-    harvest_rule: str = "nearest-PT"
-    pt_mode: str = "redraw"
     warmup: int | None = None
 
     def __post_init__(self):
@@ -76,10 +65,6 @@ class SimConfig:
             raise ValueError("n_slots must be at least 1")
         if self.n_replications < 1:
             raise ValueError("n_replications must be at least 1")
-        if self.harvest_rule not in ("nearest-PT", "sum-in-zone"):
-            raise ValueError(f"unknown harvest_rule {self.harvest_rule!r}")
-        if self.pt_mode not in ("redraw", "thinning"):
-            raise ValueError(f"unknown pt_mode {self.pt_mode!r}")
 
     def resolved_window(self, params: NetworkParams) -> float:
         side = self.window_side
@@ -119,30 +104,28 @@ def _torus_d2(a: np.ndarray, b: np.ndarray, side: float) -> np.ndarray:
 class SlotSimulator:
     """Advances the network state slot by slot.
 
-    Per slot: the active primary pattern refreshes; each full secondary
-    outside every guard zone transmits and empties its battery; each
-    non-full secondary inside a harvesting zone gains the path-loss-scaled
-    charger power, capped at capacity.  Harvested power is a per-slot
-    average, so no fading enters the battery dynamics.
+    Per slot: the active primary pattern is a fresh Poisson draw; each full
+    secondary outside every guard zone transmits and empties its battery;
+    each non-full secondary inside a harvesting zone gains the
+    path-loss-scaled power of its nearest charger, capped at capacity.
+    Harvested power is a per-slot average, so no fading enters the battery
+    dynamics.
 
     An optional ``dedicated_pt`` is an always-active extra charger, used to
     realize a conditioned transmitter near a probe receiver.
     """
 
     def __init__(self, params: NetworkParams, config: SimConfig,
-                 rng: np.random.Generator, *, pt_xy: np.ndarray | None = None,
-                 st_xy: np.ndarray | None = None, battery: np.ndarray | None = None,
-                 dedicated_pt: np.ndarray | None = None):
+                 rng: np.random.Generator, *, st_xy: np.ndarray | None = None,
+                 battery: np.ndarray | None = None, dedicated_pt: np.ndarray | None = None):
         self.params = params
-        self.config = config
         self.rng = rng
         self.window = config.resolved_window(params)
-        if pt_xy is None:
-            density = params.lambda_p if config.pt_mode == "redraw" else params.lambda_p_total
-            pt_xy = _hppp(density, self.window, rng)
+        # The first step redraws this pattern; dropping the draw would shift
+        # every seeded stream.
+        self.pt_xy = _hppp(params.lambda_p, self.window, rng)
         if st_xy is None:
             st_xy = _hppp(params.lambda_s, self.window, rng)
-        self.pt_xy = np.asarray(pt_xy, dtype=float)
         self.st_xy = np.asarray(st_xy, dtype=float)
         self.battery = (np.zeros(len(self.st_xy)) if battery is None
                         else np.asarray(battery, dtype=float).copy())
@@ -182,22 +165,17 @@ class SlotSimulator:
     # -- dynamics --------------------------------------------------------------
 
     def step(self) -> None:
-        p, rng = self.params, self.rng
-        if self.config.pt_mode == "redraw":
-            self.pt_xy = _hppp(p.lambda_p, self.window, rng)
-            self.pt_active = np.ones(len(self.pt_xy), dtype=bool)
-        else:
-            self.pt_active = rng.random(len(self.pt_xy)) < p.access_prob
+        p = self.params
+        self.pt_xy = _hppp(p.lambda_p, self.window, self.rng)
+        self.pt_active = np.ones(len(self.pt_xy), dtype=bool)
 
-        sources = self.pt_xy[self.pt_active]
+        sources = self.active_pt_xy()
         if self.dedicated_pt is not None:
             sources = np.vstack([sources, self.dedicated_pt[None, :]])
 
         if len(sources) and self.n_st:
-            d2 = _torus_d2(self.st_xy, sources, self.window)
-            nearest2 = d2.min(axis=1)
+            nearest2 = _torus_d2(self.st_xy, sources, self.window).min(axis=1)
         else:
-            d2 = None
             nearest2 = np.full(self.n_st, np.inf)
 
         full = self.battery >= self._full_level
@@ -207,13 +185,7 @@ class SlotSimulator:
         harvest = ~full & in_harv
 
         if harvest.any():
-            if self.config.harvest_rule == "nearest-PT":
-                gain = p.eta * p.power_p * nearest2[harvest] ** (-p.alpha / 2.0)
-            else:
-                sub = d2[harvest]
-                inside = sub <= self._rh2
-                sub = np.maximum(sub, 1e-300)
-                gain = p.eta * p.power_p * np.where(inside, sub ** (-p.alpha / 2.0), 0.0).sum(axis=1)
+            gain = p.eta * p.power_p * nearest2[harvest] ** (-p.alpha / 2.0)
             self.battery[harvest] = np.minimum(self.battery[harvest] + gain, p.power_s)
         self.battery[transmit] = 0.0
         self.st_transmit = transmit
@@ -334,8 +306,8 @@ def _cluster_transmitters(params: NetworkParams, window: float, kappa: float,
     return xy
 
 
-def interference_samples(params: NetworkParams, config: SimConfig, mode: str,
-                         active_density: float | None = None) -> np.ndarray:
+def interference_samples(params: NetworkParams, config: SimConfig,
+                         mode: str) -> np.ndarray:
     """Per-slot aggregate secondary interference at the origin.
 
     mode 'exact' measures the transmitting set produced by the slotted
@@ -347,8 +319,7 @@ def interference_samples(params: NetworkParams, config: SimConfig, mode: str,
     charger.  Both surrogates have mean density p_t * lambda_s, with p_t the
     analytic transmit probability (its conservative endpoint,
     :attr:`TransmissionProbability.conservative`, when only an interval is
-    known, as in ``analyze``); ``active_density`` overrides that density in
-    the approx mode only.  Fading is redrawn every slot in all modes.
+    known, as in ``analyze``).  Fading is redrawn every slot in all modes.
     """
     p = params
     if mode not in ("exact", "approx", "cluster"):
@@ -363,8 +334,7 @@ def interference_samples(params: NetworkParams, config: SimConfig, mode: str,
         def field(rng):
             return _cluster_transmitters(p, window, kappa, daughters, rng)
     else:
-        if active_density is None:
-            active_density = transmission_probability(p).conservative * p.lambda_s
+        active_density = transmission_probability(p).conservative * p.lambda_s
 
         def field(rng):
             return _hppp(active_density, window, rng)

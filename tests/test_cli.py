@@ -103,6 +103,15 @@ def test_unknown_config_key_fails(tmp_path, capsys):
     assert "powr_s" in capsys.readouterr().err
 
 
+def test_unresolvable_charging_radius_fails_cleanly(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(params_to_dict(make_params(
+        alpha=1e7, r_h=1.0, eta=0.1, power_p=1.0, power_s=0.1 * (1 + 1e-10)))))
+    rc = main(["analyze", "--config", str(bad), "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("rfharvest: error: charging radii")
+
+
 # -- simulate ----------------------------------------------------------------------
 
 SIM_ARGS = ["--sweep", "power_s=0.05:0.15:3", "--replications", "2",

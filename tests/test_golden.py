@@ -39,6 +39,8 @@ CASES = {
                  "--sweep", "lambda_p_total=0.005:0.05:5"], "file"),
     "optimize": (["optimize", "--sweep", "lambda_p_total=0.002:0.04:6",
                   "--sweep", "noise=0:0.5:3"], "file"),
+    # r_g = 0 is the dedicated-charger problem P2; 1.5 and 3 are P1
+    "optimize_p2": (["optimize", "--sweep", "r_g=0:3:3"], "file"),
     **{f"figure{i}": (["figure", "--id", str(i)] + FIGURE, "dir") for i in range(5, 14)},
 }
 

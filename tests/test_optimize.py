@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import brentq
 
 from rfharvest import (InfeasibleError, mu_primary, mu_secondary, p_guard, phi,
-                       solve_p1_closed_form, solve_p1_numeric, solve_p2,
+                       solve, solve_p1_closed_form, solve_p1_numeric, solve_p2,
                        spatial_throughput, tau_primary, tau_secondary, tau_wit,
                        transmission_probability, wit_outage,
                        wit_transmission_probability)
@@ -239,6 +239,13 @@ def test_p2_canonical_power_is_single_slot_edge():
     p = make_params(r_g=0.0, eta=0.1, power_p=1.0, r_h=1.0)
     res = solve_p2(p)
     assert res.p_s_star == pytest.approx(0.1, rel=1e-12)
+
+
+def test_solve_dispatches_on_guard_radius_and_noise():
+    for p, solver in ((make_params(r_g=0.0), solve_p2),
+                      (make_params(), solve_p1_closed_form),
+                      (make_params(noise=1e-3), solve_p1_numeric)):
+        assert solve(p) == solver(p)
 
 
 def test_mu_transforms():

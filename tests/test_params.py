@@ -93,6 +93,13 @@ def test_zero_power_rejected():
         charging_geometry(dataclasses.replace(make_params(), power_s=0.0))
 
 
+def test_unresolvable_charging_radius_raises():
+    # m = 2, but at this alpha h1 rounds to r_h: an invariant, not an assert
+    p = make_params(alpha=1e7, r_h=1.0, eta=0.1, power_p=1.0, power_s=0.1 * (1 + 1e-10))
+    with pytest.raises(ParameterError, match="charging radii"):
+        charging_geometry(p)
+
+
 def _brute_force_slots(power_s, threshold):
     m = 1
     while m * threshold < power_s * (1.0 - 1e-12):

@@ -10,7 +10,7 @@ from rfharvest import (ConditioningTooRareError, SimConfig, SlotSimulator,
                        interference_samples, outage_curve, p_guard, phi,
                        transmission_probability)
 from rfharvest.sim import (_cluster_rates, _cluster_transmitters, _combine, _hppp,
-                           _rep_rngs, _torus_d2)
+                           _rep_rngs, _shot_noise, _torus_d2)
 
 from conftest import make_params
 
@@ -68,32 +68,32 @@ def test_torus_metric_wraps():
 # -- slot dynamics -----------------------------------------------------------------
 
 
+def one_charger_sim(p, st_x, battery=None):
+    """One secondary at (st_x, 0) and one always-on charger at the origin."""
+    return SlotSimulator(p, small_cfg(), RNG(0), st_xy=np.array([[st_x, 0.0]]),
+                         battery=battery, dedicated_pt=np.zeros(2))
+
+
 def test_edge_of_zone_charges_in_one_slot():
     # single-slot regime: the minimum in-zone harvest already fills the battery
-    p = make_params(power_s=0.1, power_p=1.0, r_h=1.0, access_prob=1.0)
-    cfg = small_cfg(pt_mode="thinning")
-    sim = SlotSimulator(p, cfg, RNG(0), pt_xy=np.array([[0.0, 0.0]]),
-                        st_xy=np.array([[1.0, 0.0]]))
+    p = make_params(lambda_p_total=0.0, power_s=0.1, power_p=1.0, r_h=1.0)
+    sim = one_charger_sim(p, 1.0)
     sim.step()
     assert sim.battery[0] == pytest.approx(p.power_s)
     assert sim.st_harvest[0] and not sim.st_transmit[0]
 
 
 def test_full_battery_inside_guard_zone_idles():
-    p = make_params(power_s=0.1, power_p=1.0, r_h=1.0, r_g=3.0, access_prob=1.0)
-    cfg = small_cfg(pt_mode="thinning")
-    sim = SlotSimulator(p, cfg, RNG(0), pt_xy=np.array([[0.0, 0.0]]),
-                        st_xy=np.array([[2.0, 0.0]]), battery=np.array([0.1]))
+    p = make_params(lambda_p_total=0.0, power_s=0.1, power_p=1.0, r_h=1.0, r_g=3.0)
+    sim = one_charger_sim(p, 2.0, battery=np.array([0.1]))
     sim.step()
     assert sim.battery[0] == pytest.approx(0.1)
     assert sim.n_idle == 1 and sim.n_transmitting == 0 and sim.n_harvesting == 0
 
 
 def test_full_battery_outside_guard_zones_transmits():
-    p = make_params(power_s=0.1, power_p=1.0, r_h=1.0, r_g=3.0, access_prob=1.0)
-    cfg = small_cfg(pt_mode="thinning")
-    sim = SlotSimulator(p, cfg, RNG(0), pt_xy=np.array([[0.0, 0.0]]),
-                        st_xy=np.array([[10.0, 0.0]]), battery=np.array([0.1]))
+    p = make_params(lambda_p_total=0.0, power_s=0.1, power_p=1.0, r_h=1.0, r_g=3.0)
+    sim = one_charger_sim(p, 10.0, battery=np.array([0.1]))
     sim.step()
     assert sim.st_transmit[0]
     assert sim.battery[0] == 0.0
@@ -113,22 +113,6 @@ def test_modes_partition_and_battery_capped():
             if len(act):
                 d2 = _torus_d2(sim.transmitting_st_xy(), act, sim.window)
                 assert d2.min() > p.r_g ** 2
-
-
-def test_sum_rule_charges_at_least_as_fast():
-    p = make_params(lambda_p_total=0.05, lambda_s=0.2, power_s=0.2, power_p=2.0,
-                    r_h=1.5, r_g=4.0)
-    pts = RNG(11).uniform(-30, 30, size=(60, 2))
-    sts = RNG(12).uniform(-30, 30, size=(200, 2))
-    total = {}
-    for rule in ("nearest-PT", "sum-in-zone"):
-        cfg = small_cfg(harvest_rule=rule, pt_mode="thinning")
-        sim = SlotSimulator(p, cfg, RNG(13), pt_xy=pts.copy(), st_xy=sts.copy())
-        sim.step()
-        # thinning keeps the deployment: both layouts survive the slot
-        assert len(sim.pt_xy) == 60 and sim.n_st == 200
-        total[rule] = sim.battery.sum()
-    assert total["sum-in-zone"] >= total["nearest-PT"]
 
 
 # -- estimators --------------------------------------------------------------------
@@ -203,6 +187,13 @@ def test_interference_mode_names():
             interference_samples(p, cfg, name)
 
 
+def uniform_field_samples(p, cfg, density):
+    """The approx mode's draws at a given transmitter density."""
+    window = cfg.resolved_window(p)
+    return np.asarray([_shot_noise(_hppp(density, window, rng), p.power_s, p.alpha, rng)
+                       for rng in _rep_rngs(cfg) for _ in range(cfg.n_slots)])
+
+
 def test_approx_mode_takes_the_conservative_pt_endpoint():
     # In the interval regime (m >= 3) the uniform field's density is the
     # upper endpoint of p_t times lambda_s, as in analyze and the cluster mode
@@ -211,8 +202,7 @@ def test_approx_mode_takes_the_conservative_pt_endpoint():
     assert charging_geometry(p).m_slots >= 3 and tp.lower < tp.upper
     cfg = small_cfg(n_slots=10, n_replications=2)
     assert np.array_equal(interference_samples(p, cfg, "approx"),
-                          interference_samples(p, cfg, "approx",
-                                               active_density=tp.upper * p.lambda_s))
+                          uniform_field_samples(p, cfg, tp.upper * p.lambda_s))
 
 
 def test_cluster_field_mean_count_matches_transmitting_density():
@@ -246,7 +236,7 @@ def test_poisson_field_matches_shot_noise_transform():
     # empirical E[exp(-s I)] against exp(-(P s)^(2/alpha) * lambda * phi)
     p = make_params(lambda_s=0.2, power_s=0.1)
     cfg = SimConfig(window_side=100.0, n_slots=500, n_replications=4, master_seed=33)
-    samples = interference_samples(p, cfg, "approx", active_density=0.01)
+    samples = uniform_field_samples(p, cfg, 0.01)
     for s in (1.0, 10.0, 100.0):
         emp = np.exp(-s * samples)
         se = emp.std(ddof=1) / math.sqrt(len(emp))
@@ -279,10 +269,6 @@ def test_simconfig_validation():
         SimConfig(n_slots=0)
     with pytest.raises(ValueError):
         SimConfig(n_replications=0)
-    with pytest.raises(ValueError):
-        SimConfig(harvest_rule="all")
-    with pytest.raises(ValueError):
-        SimConfig(pt_mode="static")
     with pytest.raises(ValueError, match="below 4"):
         SimConfig(window_side=10.0).resolved_window(make_params(r_g=4.0))
 
