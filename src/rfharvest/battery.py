@@ -27,6 +27,9 @@ __all__ = [
 CHAIN_KINDS = ("single-slot", "double-slot", "multi-upper", "multi-lower")
 
 _ROW_SUM_TOL = 1e-12
+# Largest balance residual |pi P - pi| (and negative mass) a solve may leave
+# before the chain is treated as reducible.
+_RESIDUAL_TOL = 1e-8
 
 
 class StationaryResult(NamedTuple):
@@ -52,7 +55,7 @@ class BatteryChain:
     reducible: bool = False
 
 
-def steady_state(transition: np.ndarray, *, residual_tol: float = 1e-8) -> StationaryResult:
+def steady_state(transition: np.ndarray) -> StationaryResult:
     """Solve pi P = pi, sum(pi) = 1 for a row-stochastic matrix.
 
     One balance equation is replaced by the normalization row, giving a
@@ -78,8 +81,8 @@ def steady_state(transition: np.ndarray, *, residual_tol: float = 1e-8) -> Stati
     except np.linalg.LinAlgError:
         pi = None
     if pi is not None and (not np.all(np.isfinite(pi))
-                           or np.max(np.abs(pi @ P - pi)) > residual_tol
-                           or pi.min() < -residual_tol):
+                           or np.max(np.abs(pi @ P - pi)) > _RESIDUAL_TOL
+                           or pi.min() < -_RESIDUAL_TOL):
         pi = None
     if pi is None:
         # Absorbing fallback: all mass on the first absorbing state.

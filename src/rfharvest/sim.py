@@ -49,9 +49,9 @@ class SimEstimate:
 class SimConfig:
     """Simulation controls.
 
-    window_side   None picks max(20 * r_g, 100); must be >= 4 * r_g
+    window_side   None picks max(20 * r_g, 100); must be finite and >= 4 * r_g
     n_slots       measured slots per replication (after warm-up)
-    warmup        discarded leading slots; None picks max(10 * m_slots, 100)
+    warmup        discarded leading slots, >= 0; None picks max(10 * m_slots, 100)
     """
 
     window_side: float | None = None
@@ -61,6 +61,11 @@ class SimConfig:
     warmup: int | None = None
 
     def __post_init__(self):
+        side = self.window_side
+        if side is not None and not (math.isfinite(side) and side > 0):
+            raise ValueError(f"window side must be finite and positive, got {side}")
+        if self.warmup is not None and self.warmup < 0:
+            raise ValueError(f"warmup must be non-negative, got {self.warmup}")
         if self.n_slots < 1:
             raise ValueError("n_slots must be at least 1")
         if self.n_replications < 1:
@@ -89,16 +94,78 @@ def _hppp(density: float, window: float, rng: np.random.Generator) -> np.ndarray
     return rng.uniform(-half, half, size=(n, 2))
 
 
-def _torus_d2(a: np.ndarray, b: np.ndarray, side: float) -> np.ndarray:
-    """Pairwise squared min-image distances, shape (len(a), len(b))."""
-    dx = np.abs(a[:, 0, None] - b[None, :, 0])
-    np.minimum(dx, side - dx, out=dx)
-    dx *= dx
-    dy = np.abs(a[:, 1, None] - b[None, :, 1])
-    np.minimum(dy, side - dy, out=dy)
-    dy *= dy
+def _min_image_d2(dx: np.ndarray, dy: np.ndarray, side: float) -> np.ndarray:
+    """Squared min-image lengths of the displacements ``(dx, dy)``; overwrites both."""
+    for d in (dx, dy):
+        np.abs(d, out=d)
+        np.minimum(d, side - d, out=d)
+        d *= d
     dx += dy
     return dx
+
+
+def _torus_d2(a: np.ndarray, b: np.ndarray, side: float) -> np.ndarray:
+    """Pairwise squared min-image distances, shape (len(a), len(b))."""
+    return _min_image_d2(a[:, 0, None] - b[None, :, 0], a[:, 1, None] - b[None, :, 1], side)
+
+
+class _CellList:
+    """Fixed points bucketed into an n x n grid of torus cells of side >= ``radius``.
+
+    Two points within ``radius`` of each other lie in the same or adjacent
+    cells, so a query visits only the 3 x 3 cells around each query point
+    (the cell-list method; Allen & Tildesley, *Computer Simulation of
+    Liquids*).  There are at most as many cells as points, which bounds the
+    index to O(len(xy)) memory when points are sparse on the scale of
+    ``radius``; larger cells only add candidates.
+    """
+
+    def __init__(self, xy: np.ndarray, window: float, radius: float):
+        n = math.isqrt(len(xy))
+        if radius > 0:
+            # The margin keeps the cell side strictly above the radius, so
+            # rounding in the cell assignment never puts a pair within the
+            # radius two cells apart.
+            n = min(n, int(window / (radius * (1.0 + 1e-9))))
+        self.n = n = max(n, 1)
+        self.window = window
+        k = self._grid(xy)
+        cell = k[:, 0] * n + k[:, 1]
+        self._order = np.argsort(cell, kind="stable")
+        self._x, self._y = xy[self._order].T.copy()
+        self._start = np.zeros(n * n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(cell, minlength=n * n), out=self._start[1:])
+        # Deduplicated, so that under three cells per side no cell is visited twice.
+        self._off = np.unique(np.arange(-1, 2) % n)
+
+    def _grid(self, xy: np.ndarray) -> np.ndarray:
+        """Integer (column, row) cell coordinates of each point, shape (len(xy), 2)."""
+        k = np.floor((xy + self.window / 2.0) * (self.n / self.window)).astype(np.intp)
+        k %= self.n
+        return k
+
+    def nearest_d2(self, query: np.ndarray) -> np.ndarray:
+        """Squared min-image distance from each indexed point to its nearest
+        ``query`` point, in the order the points were given.
+
+        Exact wherever it is at most ``radius**2``.  Elsewhere the true value
+        is above ``radius**2`` too, and this one is at least as large
+        (``inf`` when no query point lies in the 3 x 3 cells around it).
+        """
+        n, off = self.n, self._off
+        k = self._grid(query)
+        cells = ((k[:, 0, None, None] + off[:, None]) % n * n
+                 + (k[:, 1, None, None] + off) % n).reshape(len(query), off.size ** 2)
+        lo = self._start[cells]
+        counts = self._start[cells + 1] - lo
+        q = np.repeat(np.arange(len(query)), counts.sum(axis=1))
+        lo, counts = lo.ravel(), counts.ravel()
+        idx = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        qx, qy = query.T
+        d2 = _min_image_d2(self._x[idx] - qx[q], self._y[idx] - qy[q], self.window)
+        nearest = np.full(len(self._x), np.inf)
+        np.minimum.at(nearest, self._order[idx], d2)
+        return nearest
 
 
 class SlotSimulator:
@@ -136,6 +203,9 @@ class SlotSimulator:
         self._full_level = params.power_s * (1.0 - 1e-12)
         self._rg2 = params.r_g ** 2
         self._rh2 = params.r_h ** 2
+        # Nothing beyond both radii matters to a secondary, and secondaries
+        # do not move: index them once for the per-slot nearest-charger query.
+        self._st_cells = _CellList(self.st_xy, self.window, max(params.r_g, params.r_h))
 
     # -- per-slot state views ------------------------------------------------
 
@@ -173,10 +243,7 @@ class SlotSimulator:
         if self.dedicated_pt is not None:
             sources = np.vstack([sources, self.dedicated_pt[None, :]])
 
-        if len(sources) and self.n_st:
-            nearest2 = _torus_d2(self.st_xy, sources, self.window).min(axis=1)
-        else:
-            nearest2 = np.full(self.n_st, np.inf)
+        nearest2 = self._st_cells.nearest_d2(sources)
 
         full = self.battery >= self._full_level
         in_guard = nearest2 <= self._rg2 if p.r_g > 0 else np.zeros(self.n_st, dtype=bool)
@@ -301,8 +368,8 @@ def _cluster_transmitters(params: NetworkParams, window: float, kappa: float,
     xy[:, 1] += radius * np.sin(angle)
     xy = (xy + half) % window - half
     chargers = _hppp(p.lambda_p, window, rng)
-    if p.r_g > 0 and len(chargers) and total:
-        xy = xy[_torus_d2(xy, chargers, window).min(axis=1) > p.r_g ** 2]
+    if p.r_g > 0:
+        xy = xy[_CellList(xy, window, p.r_g).nearest_d2(chargers) > p.r_g ** 2]
     return xy
 
 

@@ -147,6 +147,22 @@ def test_simulate_zero_replications_fails(config_path, tmp_path, capsys):
     assert "replications" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--warmup", "-3", "warmup must be non-negative, got -3"),
+    ("--window", "nan", "window side must be finite and positive, got nan"),
+    ("--window", "inf", "window side must be finite and positive, got inf"),
+    ("--window", "0", "window side must be finite and positive, got 0.0"),
+])
+def test_simulate_bad_warmup_or_window_fails_cleanly(config_path, tmp_path, capsys,
+                                                      flag, value, message):
+    out = tmp_path / "x.csv"
+    rc = main(["simulate", "--config", config_path, "--out", str(out), "--target", "p_t",
+               "--slots", "4", flag, value])
+    assert rc == 2
+    assert capsys.readouterr().err == f"rfharvest: error: {message}\n"
+    assert not out.exists()
+
+
 def test_simulate_interference_cdf(config_path, tmp_path):
     out = tmp_path / "cdf.csv"
     rc = main(["simulate", "--config", config_path, "--out", str(out),

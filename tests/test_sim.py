@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +11,9 @@ from rfharvest import (ConditioningTooRareError, SimConfig, SlotSimulator,
                        charging_geometry, estimate_outage, estimate_p_t,
                        interference_samples, outage_curve, p_guard, phi,
                        transmission_probability)
-from rfharvest.sim import (_cluster_rates, _cluster_transmitters, _combine, _hppp,
-                           _rep_rngs, _shot_noise, _torus_d2)
+from rfharvest import sim as sim_module
+from rfharvest.sim import (_CellList, _cluster_rates, _cluster_transmitters, _combine,
+                           _hppp, _rep_rngs, _shot_noise, _torus_d2)
 
 from conftest import make_params
 
@@ -63,6 +66,124 @@ def test_disk_emptiness_frequency_matches_void_probability():
 def test_torus_metric_wraps():
     d2 = _torus_d2(np.array([[49.0, 0.0]]), np.array([[-49.0, 0.0]]), 100.0)
     assert d2[0, 0] == pytest.approx(4.0)
+
+
+# -- nearest-charger query ---------------------------------------------------------
+
+
+class DenseNearest:
+    """The all-pairs nearest-point query that the cell list replaces."""
+
+    def __init__(self, xy, window, radius):
+        self.xy, self.window = xy, window
+
+    def nearest_d2(self, query):
+        if len(self.xy) == 0 or len(query) == 0:
+            return np.full(len(self.xy), np.inf)
+        return _torus_d2(self.xy, query, self.window).min(axis=1)
+
+
+def assert_matches_dense(points, query, window, radius):
+    got = _CellList(points, window, radius).nearest_d2(query)
+    dense = DenseNearest(points, window, radius).nearest_d2(query)
+    near = dense <= radius ** 2
+    assert np.array_equal(got[near], dense[near])
+    assert np.all(got[~near] > radius ** 2)
+    return got
+
+
+@pytest.mark.parametrize("radius", [0.7, 4.0, 20.1, 25.0, 40.0, 60.0])
+def test_cell_list_matches_dense_query(radius):
+    # up to 85 cells per side (at most one per point) down to 2 (radius >
+    # window/3) and 1 (radius > window/2)
+    rng = RNG(int(radius * 10))
+    for n_pts, n_query in ((8000, 30), (50, 200), (1, 1)):
+        assert_matches_dense(rng.uniform(-30, 30, (n_pts, 2)),
+                             rng.uniform(-30, 30, (n_query, 2)), 60.0, radius)
+
+
+@pytest.mark.parametrize("radius", [1.0, 4.0, 25.0])
+def test_cell_list_window_edges(radius):
+    # points on the closed and the open edge of the window, on cell
+    # boundaries, and the same positions as query points
+    half = 30.0
+    below = np.nextafter(half, 0.0)
+    edge = np.array([[-half, -half], [below, below], [-half, below], [below, 0.0],
+                     [0.0, -half], [below - radius, 0.0], [-half + radius, 0.0]])
+    grid = np.arange(-half, half, radius)
+    lattice = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)
+    points = np.vstack([edge, lattice])
+    got = assert_matches_dense(points, edge, 60.0, radius)
+    assert np.all(got[:len(edge)] == 0.0)
+    assert_matches_dense(edge, points, 60.0, radius)
+    # wraps across the seam: -half and just below +half are neighbours
+    d2 = _CellList(edge[:1], 60.0, radius).nearest_d2(edge[1:2])
+    assert d2[0] == pytest.approx(2 * (half - below) ** 2)
+
+
+def test_cell_list_without_chargers_or_points():
+    none = np.zeros((0, 2))
+    pts = RNG(3).uniform(-30, 30, (20, 2))
+    assert np.all(_CellList(pts, 60.0, 4.0).nearest_d2(none) == np.inf)
+    assert _CellList(none, 60.0, 4.0).nearest_d2(pts).shape == (0,)
+    assert _CellList(none, 60.0, 4.0).nearest_d2(none).shape == (0,)
+
+
+@pytest.mark.parametrize("r_g, lambda_p, window, dedicated", [
+    (3.0, 0.05, 30.0, None),        # 9 cells per side
+    (3.0, 0.05, 30.0, (0.5, 0.0)),
+    (0.0, 0.3, 2.5, (0.5, 0.0)),    # 2 cells per side
+    (0.0, 0.3, 1.5, None),          # 1 cell
+])
+def test_step_states_match_dense_query(monkeypatch, r_g, lambda_p, window, dedicated):
+    p = make_params(r_g=r_g, r_h=1.0, lambda_s=2.0, lambda_p_total=lambda_p, power_p=2.0,
+                    power_s=0.15)
+    cfg = small_cfg(window_side=window)
+    kw = {} if dedicated is None else {"dedicated_pt": np.array(dedicated)}
+    sims = [SlotSimulator(p, cfg, RNG(11), **kw)]
+    monkeypatch.setattr(sim_module, "_CellList", DenseNearest)
+    sims.append(SlotSimulator(p, cfg, RNG(11), **kw))
+    assert sims[0].n_st > 0
+    transmits = harvests = 0
+    for _ in range(40):
+        for sim in sims:
+            sim.step()
+        cell, dense = sims
+        assert np.array_equal(cell.battery, dense.battery)
+        assert np.array_equal(cell.st_transmit, dense.st_transmit)
+        assert np.array_equal(cell.st_harvest, dense.st_harvest)
+        transmits += cell.n_transmitting
+        harvests += cell.n_harvesting
+    assert transmits > 0 and harvests > 0
+
+
+def test_cluster_guard_filter_matches_dense_query(monkeypatch):
+    p = make_params(r_g=3.0, power_p=2.0, lambda_s=0.2, lambda_p_total=0.02)
+    kappa, daughters = _cluster_rates(p, transmission_probability(p).upper)
+    cell = [_cluster_transmitters(p, 40.0, kappa, daughters, RNG(s)) for s in range(20)]
+    monkeypatch.setattr(sim_module, "_CellList", DenseNearest)
+    dense = [_cluster_transmitters(p, 40.0, kappa, daughters, RNG(s)) for s in range(20)]
+    for a, b in zip(cell, dense):
+        assert np.array_equal(a, b)
+    assert sum(map(len, cell)) > 0
+
+
+def test_step_scales_to_wide_windows(fig9_params):
+    # ~100k secondaries and ~10k chargers: the all-pairs query would need a
+    # ~7 GB temporary
+    sim = SlotSimulator(fig9_params, SimConfig(window_side=1000.0), RNG(2))
+    assert sim.n_st > 90_000
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        sim.step()
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sim.pt_xy) > 9_000 and sim.n_harvesting > 0
+    assert peak < 64 * 2 ** 20
+    assert elapsed < 5.0
 
 
 # -- slot dynamics -----------------------------------------------------------------
@@ -271,6 +392,18 @@ def test_simconfig_validation():
         SimConfig(n_replications=0)
     with pytest.raises(ValueError, match="below 4"):
         SimConfig(window_side=10.0).resolved_window(make_params(r_g=4.0))
+    assert SimConfig(warmup=0).resolved_warmup(5) == 0
+
+
+@pytest.mark.parametrize("side", [math.nan, math.inf, 0.0, -60.0])
+def test_simconfig_rejects_bad_window(side):
+    with pytest.raises(ValueError, match="window side must be finite and positive"):
+        SimConfig(window_side=side)
+
+
+def test_simconfig_rejects_negative_warmup():
+    with pytest.raises(ValueError, match="warmup must be non-negative, got -1"):
+        SimConfig(warmup=-1)
 
 
 def test_default_window_and_warmup():
