@@ -7,7 +7,7 @@ from .params import (NetworkParams, ChargingGeometry, ParameterError, RegimeWarn
 from .analytics import (ZoneProbabilities, TransmissionProbability, OutageResult,
                         phi, p_guard, p_harvest, zone_probabilities,
                         pt_single_slot, pt_double_slot, pt_multi_bounds,
-                        transmission_probability, wit_transmission_probability,
+                        transmission_probability,
                         tau_primary, tau_secondary, tau_wit,
                         outage_primary, outage_secondary, outage_secondary_paper,
                         wit_outage,

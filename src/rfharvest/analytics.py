@@ -25,7 +25,6 @@ __all__ = [
     "pt_double_slot",
     "pt_multi_bounds",
     "transmission_probability",
-    "wit_transmission_probability",
     "tau_primary",
     "tau_secondary",
     "tau_wit",
@@ -129,16 +128,11 @@ def pt_multi_bounds(p_1: float, p2_prime: float, p_3: float,
     """(lower, upper) bounds on the transmit probability for m_slots > 2.
 
     The upper bound credits the outer annulus with a half charge, the lower
-    bound with none; both reduce to the exact expressions when the outer
-    regions are empty.
+    bound with none, so each is the two-slot chain on the merged zones; both
+    reduce to the exact expressions when the outer regions are empty.
     """
-    p_h = p_1 + p2_prime + p_3
-    if p_h <= 0.0:
-        return 0.0, 0.0
-    upper = p_h * p_g / (p_h + p_g * (1.0 + (p2_prime + p_3) / p_h))
-    q = p_1 + p2_prime
-    lower = q * p_g / (q + p_g * (1.0 + p2_prime / q)) if q > 0.0 else 0.0
-    return lower, upper
+    return (pt_double_slot(p_1 + p2_prime, p2_prime, p_g),
+            pt_double_slot(p_1 + p2_prime + p_3, p2_prime + p_3, p_g))
 
 
 @dataclass(frozen=True)
@@ -166,42 +160,29 @@ class TransmissionProbability:
         return self.upper
 
 
-def _pt_from_zones(m: int, z: ZoneProbabilities, p_g: float) -> TransmissionProbability:
-    if m == 1:
-        v = pt_single_slot(z.p_h, p_g)
-        return TransmissionProbability(m_slots=m, lower=v, upper=v, value=v)
-    if m == 2:
-        v = pt_double_slot(z.p_h, z.p_2, p_g)
-        return TransmissionProbability(m_slots=m, lower=v, upper=v, value=v)
-    lo, hi = pt_multi_bounds(z.p_1, z.p2_prime, z.p_3, p_g)
-    return TransmissionProbability(m_slots=m, lower=lo, upper=hi)
-
-
 def transmission_probability(params: NetworkParams,
                              geometry: ChargingGeometry | None = None,
                              zones: ZoneProbabilities | None = None) -> TransmissionProbability:
     """Stationary probability that a typical secondary transmitter transmits.
 
     Exact for single- and double-slot charging; an interval otherwise.
-    Callers that already hold the charging geometry and zone probabilities
-    of ``params`` may pass them to skip recomputing them.
+    With r_g = 0 the guard-exit probability is exactly 1, so this is also
+    the transmit probability of the dedicated-charger setup.  Callers that
+    already hold the charging geometry and zone probabilities of ``params``
+    may pass them to skip recomputing them.
     """
     if geometry is None:
         geometry = charging_geometry(params)
-    if zones is None:
-        zones = zone_probabilities(params, geometry)
-    return _pt_from_zones(geometry.m_slots, zones, zones.p_g)
-
-
-def wit_transmission_probability(params: NetworkParams) -> TransmissionProbability:
-    """Transmit probability in the dedicated-charger setup (no guard zones).
-
-    Evaluates the same chains with the guard-exit probability forced to 1;
-    the r_g field of ``params`` is ignored.
-    """
-    geom = charging_geometry(params)
-    z = zone_probabilities(params, geom)
-    return _pt_from_zones(geom.m_slots, z, 1.0)
+    z = zone_probabilities(params, geometry) if zones is None else zones
+    m = geometry.m_slots
+    if m == 1:
+        v = pt_single_slot(z.p_h, z.p_g)
+        return TransmissionProbability(m_slots=m, lower=v, upper=v, value=v)
+    if m == 2:
+        v = pt_double_slot(z.p_h, z.p_2, z.p_g)
+        return TransmissionProbability(m_slots=m, lower=v, upper=v, value=v)
+    lo, hi = pt_multi_bounds(z.p_1, z.p2_prime, z.p_3, z.p_g)
+    return TransmissionProbability(m_slots=m, lower=lo, upper=hi)
 
 
 # -- outage ------------------------------------------------------------------

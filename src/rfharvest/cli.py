@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .analytics import (outage_primary, outage_secondary, transmission_probability,
-                        wit_transmission_probability, zone_probabilities)
+                        zone_probabilities)
 from .optimize import InfeasibleError, solve, solve_p1_closed_form
 from .params import (NetworkParams, ParameterError, charging_geometry, load_params,
                      params_to_dict, validate)
@@ -317,13 +317,14 @@ def _figure_5(args, out_dir) -> list[str]:
     return files
 
 
-def _pt_curves(out_dir, figure, prefix, base, field, column, grid, pt_fn) -> list[str]:
-    """p_t from ``pt_fn`` against ``field`` over ``grid``, one file per
-    charging regime: power_s 0.1 (label m1) and 0.2 (m2)."""
+def _pt_curves(out_dir, figure, prefix, base, field, column, grid) -> list[str]:
+    """p_t against ``field`` over ``grid``, one file per charging regime:
+    power_s 0.1 (label m1) and 0.2 (m2)."""
     return [_curve(out_dir, f"{prefix}_{label}.csv",
                    _headers(f"figure {figure} ({label})", replace(base, power_s=ps)),
                    (column, "m_slots", "p_t_exact", "p_t_lower", "p_t_upper"), grid,
-                   [_pt_columns(pt_fn(replace(base, **{field: float(v)}, power_s=ps)))
+                   [_pt_columns(transmission_probability(
+                       replace(base, **{field: float(v)}, power_s=ps)))
                     for v in grid])
             for label, ps in (("m1", 0.1), ("m2", 0.2))]
 
@@ -331,13 +332,12 @@ def _pt_curves(out_dir, figure, prefix, base, field, column, grid, pt_fn) -> lis
 def _figure_6(args, out_dir) -> list[str]:
     return _pt_curves(out_dir, 6, "fig6_pt",
                       _study_params(r_g=3.0, r_h=1.0, power_p=1.0, lambda_s=2.0),
-                      "lambda_p_total", "lambda_p", np.linspace(0.002, 0.2, 40),
-                      transmission_probability)
+                      "lambda_p_total", "lambda_p", np.linspace(0.002, 0.2, 40))
 
 
 def _figure_7(args, out_dir) -> list[str]:
     return _pt_curves(out_dir, 7, "fig7_pt", _study_params(r_h=1.0, power_p=1.0),
-                      "r_g", "r_g", np.linspace(1.25, 8.0, 24), transmission_probability)
+                      "r_g", "r_g", np.linspace(1.25, 8.0, 24))
 
 
 def _figure_8(args, out_dir) -> list[str]:
@@ -430,8 +430,7 @@ def _figure_12(args, out_dir) -> list[str]:
 def _figure_13(args, out_dir) -> list[str]:
     return _pt_curves(out_dir, 13, "fig13_wit_pt",
                       _study_params(r_g=0.0, r_h=1.0, power_p=1.0, lambda_s=2.0),
-                      "lambda_p_total", "lambda_p", np.linspace(0.005, 0.3, 30),
-                      wit_transmission_probability)
+                      "lambda_p_total", "lambda_p", np.linspace(0.005, 0.3, 30))
 
 
 _FIGURES = {5: _figure_5, 6: _figure_6, 7: _figure_7, 8: _figure_8, 9: _figure_9,

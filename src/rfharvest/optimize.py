@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .analytics import (p_guard, phi, spatial_throughput,
-                        transmission_probability, wit_transmission_probability)
-from .params import NetworkParams, charging_geometry
+from .analytics import p_guard, phi, spatial_throughput, transmission_probability
+from .params import NetworkParams
 
 __all__ = [
     "OptimizationResult",
@@ -43,9 +42,7 @@ class OptimizationResult:
     (p_t * lambda_s); lambda_s_star is the deployment density that realizes
     it.  When the transmit probability at the optimum is only known as an
     interval, lambda_s_star holds the conservative endpoint (largest p_t,
-    fewest deployed nodes) and lambda_s_interval the full range.  ``family``
-    marks solutions where any (power, density) pair with the same active
-    density is optimal.
+    fewest deployed nodes) and lambda_s_interval the full range.
     """
 
     p_s_star: float
@@ -57,7 +54,6 @@ class OptimizationResult:
     lambda_s_interval: tuple[float, float] | None = None
     m_at_optimum: int | None = None
     binding: tuple[str, ...] = ()
-    family: bool = False
 
 
 def mu_primary(eps_p: float) -> float:
@@ -186,22 +182,24 @@ def solve_p2(params: NetworkParams) -> OptimizationResult:
     alone; any (power, density) pair realizing it is optimal, so the
     returned power is the canonical representative: the largest power still
     charged in one slot, which maximizes per-transmission energy without
-    reducing the transmit probability.
+    reducing the transmit probability.  Defined only without guard zones
+    (r_g = 0), where the transmit probability has p_g = 1.
     """
     p = params
+    if p.r_g != 0.0:
+        raise ValueError("the dedicated-charger problem has no guard zones; r_g must be 0")
     if p.noise != 0.0:
         raise ValueError("the dedicated-charger optimum is derived for zero noise")
     mus = -math.log1p(-p.eps_s)
     active = mus / (p.theta_s ** (2.0 / p.alpha) * p.d_s ** 2 * phi(p.alpha))
     p_s_star = p.eta * p.power_p * p.r_h ** -p.alpha
-    tp = wit_transmission_probability(replace(p, power_s=p_s_star))
-    m = charging_geometry(replace(p, power_s=p_s_star)).m_slots
+    tp = transmission_probability(replace(p, power_s=p_s_star))
     lam_star = active / tp.value if tp.value and tp.value > 0 else math.inf
     return OptimizationResult(
         p_s_star=p_s_star, active_density=active,
         throughput=spatial_throughput(active, 1.0, p.theta_s),
         mu_p=None, mu_s=mus, lambda_s_star=lam_star, lambda_s_interval=None,
-        m_at_optimum=m, binding=("secondary",), family=True)
+        m_at_optimum=tp.m_slots, binding=("secondary",))
 
 
 def solve(params: NetworkParams) -> OptimizationResult:

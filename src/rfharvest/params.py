@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 __all__ = [
     "NetworkParams",
@@ -204,8 +204,7 @@ def charging_geometry(params: NetworkParams) -> ChargingGeometry:
 
 
 _FIELDS = {f.name for f in fields(NetworkParams)}
-_REQUIRED = {"lambda_p_total", "lambda_s", "power_p", "power_s", "alpha", "eta",
-             "r_g", "r_h", "d_p", "d_s", "theta_p", "theta_s", "eps_p", "eps_s"}
+_REQUIRED = {f.name for f in fields(NetworkParams) if f.default is MISSING}
 
 
 def params_from_dict(data: dict, *, warn: bool = True) -> NetworkParams:

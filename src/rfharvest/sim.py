@@ -104,11 +104,6 @@ def _min_image_d2(dx: np.ndarray, dy: np.ndarray, side: float) -> np.ndarray:
     return dx
 
 
-def _torus_d2(a: np.ndarray, b: np.ndarray, side: float) -> np.ndarray:
-    """Pairwise squared min-image distances, shape (len(a), len(b))."""
-    return _min_image_d2(a[:, 0, None] - b[None, :, 0], a[:, 1, None] - b[None, :, 1], side)
-
-
 class _CellList:
     """Fixed points bucketed into an n x n grid of torus cells of side >= ``radius``.
 
@@ -183,19 +178,15 @@ class SlotSimulator:
     """
 
     def __init__(self, params: NetworkParams, config: SimConfig,
-                 rng: np.random.Generator, *, st_xy: np.ndarray | None = None,
-                 battery: np.ndarray | None = None, dedicated_pt: np.ndarray | None = None):
+                 rng: np.random.Generator, *, dedicated_pt: np.ndarray | None = None):
         self.params = params
         self.rng = rng
         self.window = config.resolved_window(params)
         # The first step redraws this pattern; dropping the draw would shift
         # every seeded stream.
         self.pt_xy = _hppp(params.lambda_p, self.window, rng)
-        if st_xy is None:
-            st_xy = _hppp(params.lambda_s, self.window, rng)
-        self.st_xy = np.asarray(st_xy, dtype=float)
-        self.battery = (np.zeros(len(self.st_xy)) if battery is None
-                        else np.asarray(battery, dtype=float).copy())
+        self.st_xy = _hppp(params.lambda_s, self.window, rng)
+        self.battery = np.zeros(len(self.st_xy))
         self.dedicated_pt = None if dedicated_pt is None else np.asarray(dedicated_pt, float)
         self.pt_active = np.ones(len(self.pt_xy), dtype=bool)
         self.st_transmit = np.zeros(len(self.st_xy), dtype=bool)
@@ -227,10 +218,6 @@ class SlotSimulator:
     @property
     def n_harvesting(self) -> int:
         return int(self.st_harvest.sum())
-
-    @property
-    def n_idle(self) -> int:
-        return self.n_st - self.n_transmitting - self.n_harvesting
 
     # -- dynamics --------------------------------------------------------------
 
@@ -416,13 +403,14 @@ def _sinr_samples(sim: SlotSimulator, slots, side: str, conditioning: str) -> np
         signal_power, link_dist = p.power_p, p.d_p
     else:
         signal_power, link_dist = p.power_s, p.d_s
-    link_from = np.array([[link_dist, 0.0]])
     reject = side == "secondary" and conditioning == "rejection" and p.r_g > 0
     rg2 = p.r_g ** 2
     out = []
     for _ in slots:
         act = sim.active_pt_xy()
-        if reject and len(act) and _torus_d2(act, link_from, sim.window).min() <= rg2:
+        # _min_image_d2 overwrites its inputs, and ``act`` feeds the shot noise below.
+        if reject and len(act) and _min_image_d2(act[:, 0] - link_dist, act[:, 1].copy(),
+                                                 sim.window).min() <= rg2:
             continue
         i_p = 0.0 if side == "wit" else _shot_noise(act, p.power_p, p.alpha, rng)
         i_s = _shot_noise(sim.transmitting_st_xy(), p.power_s, p.alpha, rng)
@@ -480,8 +468,7 @@ def outage_curve(params: NetworkParams, config: SimConfig, side: str,
     return [_combine(per_theta_means[i], per_theta_counts[i]) for i in range(len(thetas))]
 
 
-def estimate_outage(params: NetworkParams, config: SimConfig, side: str,
-                    *, conditioning: str | None = None) -> SimEstimate:
+def estimate_outage(params: NetworkParams, config: SimConfig, side: str) -> SimEstimate:
     """Simulated outage probability at the SINR target from ``params``."""
     theta = params.theta_p if side == "primary" else params.theta_s
-    return outage_curve(params, config, side, [theta], conditioning=conditioning)[0]
+    return outage_curve(params, config, side, [theta])[0]

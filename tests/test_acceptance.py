@@ -346,7 +346,7 @@ def test_c7_optimal_power_and_throughput_trends():
 def test_c8_dedicated_charger_results():
     ok = True
     for ps in (0.1, 0.2):
-        vals = [rf.wit_transmission_probability(
+        vals = [rf.transmission_probability(
             make_params(r_g=0.0, r_h=1.0, power_p=1.0, power_s=ps, lambda_s=2.0,
                         lambda_p_total=float(l))).value
             for l in np.linspace(0.005, 0.3, 30)]

@@ -10,11 +10,10 @@ from rfharvest import (build_chain, charging_geometry, outage_primary,
                        outage_secondary, outage_secondary_paper, p_guard, p_harvest,
                        phi, pt_double_slot, pt_multi_bounds, pt_single_slot,
                        spatial_throughput, tau_primary, tau_secondary,
-                       transmission_probability, wit_outage,
-                       wit_transmission_probability, zone_probabilities)
+                       transmission_probability, wit_outage, zone_probabilities)
 from rfharvest.analytics import _hole_integral, _lens_area
 
-from conftest import make_params, valid_params
+from conftest import make_params, replace_params, valid_params
 
 # High-precision reference values (40-digit Gamma/exp evaluation).
 PHI_3 = 7.597625010352075
@@ -123,7 +122,7 @@ def test_no_primaries_means_no_transmissions():
     p = make_params(lambda_p_total=0.0)
     tp = transmission_probability(p)
     assert tp.value == 0.0 and tp.lower == 0.0 and tp.upper == 0.0
-    assert wit_transmission_probability(p).value == 0.0
+    assert transmission_probability(make_params(lambda_p_total=0.0, r_g=0.0)).value == 0.0
 
 
 def test_interval_for_slow_charging():
@@ -166,14 +165,30 @@ def test_wit_single_slot_half_harvest():
     assert pt_single_slot(0.5, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-14)
 
 
-def test_wit_ignores_guard_radius():
-    a = wit_transmission_probability(make_params(r_g=0.0))
-    b = wit_transmission_probability(make_params(r_g=5.0))
-    assert a.value == b.value
+def test_no_guard_zones_means_certain_guard_exit():
+    assert zone_probabilities(make_params(r_g=0.0)).p_g == 1.0
+
+
+@given(valid_params())
+@settings(max_examples=200, deadline=None)
+def test_dedicated_charger_pt_matches_chains_with_certain_guard_exit(p):
+    # r_g = 0 is the dedicated-charger setup: the same chains with p_g = 1
+    p = replace_params(p, r_g=0.0)
+    z = zone_probabilities(p)
+    tp = transmission_probability(p)
+    assert z.p_g == 1.0
+    if tp.m_slots <= 2:
+        kind = "single-slot" if tp.m_slots == 1 else "double-slot"
+        assert tp.value == pytest.approx(build_chain(kind, z).p_transmit, rel=1e-12, abs=1e-12)
+    else:
+        assert tp.lower == pytest.approx(build_chain("multi-lower", z).p_transmit,
+                                         rel=1e-12, abs=1e-12)
+        assert tp.upper == pytest.approx(build_chain("multi-upper", z).p_transmit,
+                                         rel=1e-12, abs=1e-12)
 
 
 def test_wit_increasing_in_charger_density():
-    vals = [wit_transmission_probability(make_params(r_g=0.0, lambda_p_total=float(l))).value
+    vals = [transmission_probability(make_params(r_g=0.0, lambda_p_total=float(l))).value
             for l in np.linspace(0.005, 0.3, 20)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
 

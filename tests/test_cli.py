@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +11,8 @@ from rfharvest import params_to_dict
 from rfharvest.cli import main, parse_sweep
 
 from conftest import make_params
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -284,3 +290,27 @@ def test_header_echo_reproduces_file(config_path, tmp_path, monkeypatch):
     rc = main(["simulate", "--config", str(cfg2), "--out", str(out2)] + SIM_ARGS)
     assert rc == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# -- scripts -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("r_g", [None, 0.0], ids=["p1", "p2"])
+def test_design_point_script_runs(tmp_path, r_g):
+    config = ROOT / "configs" / "example.json"
+    if r_g is not None:  # dedicated chargers: solve() takes P2
+        data = json.loads(config.read_text())
+        data["r_g"] = r_g
+        config = tmp_path / "dedicated.json"
+        config.write_text(json.dumps(data))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "design_point.py"), "--config", str(config),
+         "--replications", "2", "--slots", "10"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert any(line.startswith("optimal transmit power") for line in lines)
+    assert any(line.startswith("transmit probability") for line in lines)

@@ -8,8 +8,7 @@ from scipy.optimize import brentq
 from rfharvest import (InfeasibleError, mu_primary, mu_secondary, p_guard, phi,
                        solve, solve_p1_closed_form, solve_p1_numeric, solve_p2,
                        spatial_throughput, tau_primary, tau_secondary, tau_wit,
-                       transmission_probability, wit_outage,
-                       wit_transmission_probability)
+                       transmission_probability, wit_outage)
 
 from conftest import make_params
 
@@ -195,7 +194,7 @@ def test_p2_reference_values():
     res = solve_p2(make_params(r_g=0.0))
     assert res.active_density == pytest.approx(P2_ACTIVE, rel=1e-12)
     assert res.throughput == pytest.approx(P2_THROUGHPUT, rel=1e-12)
-    assert res.family and res.binding == ("secondary",)
+    assert res.binding == ("secondary",)
     assert res.m_at_optimum == 1
 
 
@@ -204,7 +203,7 @@ def test_p2_family_members_share_throughput():
     res = solve_p2(p)
     for factor in (0.25, 0.5, 1.5):  # other members of the optimal family
         ps = res.p_s_star * factor
-        tp = wit_transmission_probability(dataclasses.replace(p, power_s=ps))
+        tp = transmission_probability(dataclasses.replace(p, power_s=ps))
         pt = tp.value if tp.exact else tp.upper
         lam = res.active_density / pt
         assert spatial_throughput(pt, lam, p.theta_s) == pytest.approx(
@@ -233,6 +232,11 @@ def test_p2_outage_hits_budget_exactly():
 def test_p2_rejects_noise():
     with pytest.raises(ValueError, match="zero noise"):
         solve_p2(make_params(r_g=0.0, noise=1e-5))
+
+
+def test_p2_rejects_guard_zones():
+    with pytest.raises(ValueError, match="r_g must be 0"):
+        solve_p2(make_params(r_g=3.0))
 
 
 def test_p2_canonical_power_is_single_slot_edge():

@@ -13,11 +13,16 @@ from rfharvest import (ConditioningTooRareError, SimConfig, SlotSimulator,
                        transmission_probability)
 from rfharvest import sim as sim_module
 from rfharvest.sim import (_CellList, _cluster_rates, _cluster_transmitters, _combine,
-                           _hppp, _rep_rngs, _shot_noise, _torus_d2)
+                           _hppp, _min_image_d2, _rep_rngs, _shot_noise)
 
-from conftest import make_params
+from conftest import make_params, replace_params
 
 RNG = np.random.default_rng
+
+
+def _torus_d2(a, b, side):
+    """Pairwise squared min-image distances, shape (len(a), len(b))."""
+    return _min_image_d2(a[:, 0, None] - b[None, :, 0], a[:, 1, None] - b[None, :, 1], side)
 
 
 def small_cfg(**kw):
@@ -189,10 +194,16 @@ def test_step_scales_to_wide_windows(fig9_params):
 # -- slot dynamics -----------------------------------------------------------------
 
 
-def one_charger_sim(p, st_x, battery=None):
-    """One secondary at (st_x, 0) and one always-on charger at the origin."""
-    return SlotSimulator(p, small_cfg(), RNG(0), st_xy=np.array([[st_x, 0.0]]),
-                         battery=battery, dedicated_pt=np.zeros(2))
+def one_charger_sim(p, st_x, battery=0.0):
+    """One secondary at (st_x, 0) holding ``battery`` and one always-on
+    charger at the origin: a simulator built without secondaries, then given
+    that one."""
+    sim = SlotSimulator(replace_params(p, lambda_s=0.0), small_cfg(), RNG(0),
+                        dedicated_pt=np.zeros(2))
+    sim.st_xy = np.array([[st_x, 0.0]])
+    sim.battery = np.array([battery])
+    sim._st_cells = _CellList(sim.st_xy, sim.window, max(p.r_g, p.r_h))
+    return sim
 
 
 def test_edge_of_zone_charges_in_one_slot():
@@ -206,15 +217,15 @@ def test_edge_of_zone_charges_in_one_slot():
 
 def test_full_battery_inside_guard_zone_idles():
     p = make_params(lambda_p_total=0.0, power_s=0.1, power_p=1.0, r_h=1.0, r_g=3.0)
-    sim = one_charger_sim(p, 2.0, battery=np.array([0.1]))
+    sim = one_charger_sim(p, 2.0, battery=0.1)
     sim.step()
     assert sim.battery[0] == pytest.approx(0.1)
-    assert sim.n_idle == 1 and sim.n_transmitting == 0 and sim.n_harvesting == 0
+    assert not sim.st_transmit[0] and not sim.st_harvest[0]
 
 
 def test_full_battery_outside_guard_zones_transmits():
     p = make_params(lambda_p_total=0.0, power_s=0.1, power_p=1.0, r_h=1.0, r_g=3.0)
-    sim = one_charger_sim(p, 10.0, battery=np.array([0.1]))
+    sim = one_charger_sim(p, 10.0, battery=0.1)
     sim.step()
     assert sim.st_transmit[0]
     assert sim.battery[0] == 0.0
@@ -226,7 +237,7 @@ def test_modes_partition_and_battery_capped():
     sim = SlotSimulator(p, cfg, RNG(5))
     for _ in range(60):
         sim.step()
-        assert sim.n_transmitting + sim.n_harvesting + sim.n_idle == sim.n_st
+        assert not np.any(sim.st_transmit & sim.st_harvest)
         assert sim.battery.max() <= p.power_s + 1e-12
         if sim.n_transmitting:
             # no transmitter may sit inside any guard zone
