@@ -505,6 +505,10 @@ def main(argv=None) -> int:
             OSError, json.JSONDecodeError) as exc:
         print(f"rfharvest: error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # numpy's message names the size of the failed allocation
+        print(f"rfharvest: error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -84,14 +84,17 @@ def constraint_curves(params: NetworkParams):
     mp, ms, _ = _budgets(p)
     c_p = p.theta_p ** (2.0 / p.alpha) * p.d_p ** 2 * ph
     c_s = p.theta_s ** (2.0 / p.alpha) * p.d_s ** 2 * ph
+    # Loop-invariant parts, computed once: the bisection calls f1 and f2
+    # hundreds of times per solve.
+    power_p, lambda_p, expo = p.power_p, p.lambda_p, -2.0 / p.alpha
+    head = (mp - p.theta_p * p.d_p ** p.alpha * p.noise / power_p) / c_p - lambda_p
+    noise_s = p.theta_s * p.d_s ** p.alpha * p.noise
 
     def f1(power_s: float) -> float:
-        head = (mp - p.theta_p * p.d_p ** p.alpha * p.noise / p.power_p) / c_p - p.lambda_p
-        return head * (power_s / p.power_p) ** (-2.0 / p.alpha)
+        return head * (power_s / power_p) ** expo
 
     def f2(power_s: float) -> float:
-        return ((ms - p.theta_s * p.d_s ** p.alpha * p.noise / power_s) / c_s
-                - p.lambda_p * (power_s / p.power_p) ** (-2.0 / p.alpha))
+        return (ms - noise_s / power_s) / c_s - lambda_p * (power_s / power_p) ** expo
 
     return f1, f2
 

@@ -12,6 +12,7 @@ bias from interference sums without oversized windows.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -105,18 +106,24 @@ def _min_image_d2(dx: np.ndarray, dy: np.ndarray, side: float) -> np.ndarray:
 
 
 class _CellList:
-    """Fixed points bucketed into an n x n grid of torus cells of side >= ``radius``.
+    """Fixed points bucketed into torus cells of side >= ``radius``, an n x n
+    grid for each replication of a batch.
 
     Two points within ``radius`` of each other lie in the same or adjacent
     cells, so a query visits only the 3 x 3 cells around each query point
     (the cell-list method; Allen & Tildesley, *Computer Simulation of
-    Liquids*).  There are at most as many cells as points, which bounds the
-    index to O(len(xy)) memory when points are sparse on the scale of
-    ``radius``; larger cells only add candidates.
+    Liquids*).  Every replication has its own torus and its own n columns
+    of cells, numbered ``rep * n + column``, so a query point sees only the
+    points of its own replication.  There are at most as many cells as
+    points, which bounds the index to O(len(xy)) memory when points are
+    sparse on the scale of ``radius``; larger cells only add candidates.
     """
 
-    def __init__(self, xy: np.ndarray, window: float, radius: float):
-        n = math.isqrt(len(xy))
+    def __init__(self, xy: np.ndarray, window: float, radius: float,
+                 rep: np.ndarray | None = None, n_reps: int = 1):
+        """``rep`` holds each point's replication in ``range(n_reps)`` (all 0
+        when omitted: a batch of one)."""
+        n = math.isqrt(len(xy) // n_reps)
         if radius > 0:
             # The margin keeps the cell side strictly above the radius, so
             # rounding in the cell assignment never puts a pair within the
@@ -124,13 +131,24 @@ class _CellList:
             n = min(n, int(window / (radius * (1.0 + 1e-9))))
         self.n = n = max(n, 1)
         self.window = window
+        # Each column of cells is stored with a copy of its last row before
+        # its first row and of its first row after its last, so that the 3
+        # cells of a column around any row are one contiguous run.
+        self._m = m = n + 2
         k = self._grid(xy)
-        cell = k[:, 0] * n + k[:, 1]
-        self._order = np.argsort(cell, kind="stable")
+        column = k[:, 0] if rep is None else rep * n + k[:, 0]
+        wrap_lo = np.flatnonzero(k[:, 1] == n - 1)
+        wrap_hi = np.flatnonzero(k[:, 1] == 0)
+        cell = np.concatenate([column * m + k[:, 1] + 1, column[wrap_lo] * m,
+                               column[wrap_hi] * m + n + 1])
+        order = np.argsort(cell, kind="stable")
+        self._order = np.concatenate([np.arange(len(xy)), wrap_lo, wrap_hi])[order]
         self._x, self._y = xy[self._order].T.copy()
-        self._start = np.zeros(n * n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(cell, minlength=n * n), out=self._start[1:])
-        # Deduplicated, so that under three cells per side no cell is visited twice.
+        self._n_points = len(xy)
+        self._start = np.zeros(n_reps * n * m + 1, dtype=np.intp)
+        np.cumsum(np.bincount(cell, minlength=n_reps * n * m), out=self._start[1:])
+        # Deduplicated, so that under three cells per side no column is
+        # visited twice (rows may be, which leaves every minimum unchanged).
         self._off = np.unique(np.arange(-1, 2) % n)
 
     def _grid(self, xy: np.ndarray) -> np.ndarray:
@@ -139,98 +157,127 @@ class _CellList:
         k %= self.n
         return k
 
-    def nearest_d2(self, query: np.ndarray) -> np.ndarray:
+    def nearest_d2(self, query: np.ndarray, rep: np.ndarray | None = None) -> np.ndarray:
         """Squared min-image distance from each indexed point to its nearest
-        ``query`` point, in the order the points were given.
+        ``query`` point of the same replication (``rep`` as for the indexed
+        points), in the order the points were given.
 
         Exact wherever it is at most ``radius**2``.  Elsewhere the true value
         is above ``radius**2`` too, and this one is at least as large
         (``inf`` when no query point lies in the 3 x 3 cells around it).
         """
-        n, off = self.n, self._off
+        n = self.n
         k = self._grid(query)
-        cells = ((k[:, 0, None, None] + off[:, None]) % n * n
-                 + (k[:, 1, None, None] + off) % n).reshape(len(query), off.size ** 2)
-        lo = self._start[cells]
-        counts = self._start[cells + 1] - lo
+        columns = (k[:, 0, None] + self._off) % n
+        if rep is not None:
+            columns += (rep * n)[:, None]
+        # The run of each column from the row below the query's to the row above
+        first = columns * self._m + k[:, 1, None]
+        lo = self._start[first]
+        counts = self._start[first + 3] - lo
         q = np.repeat(np.arange(len(query)), counts.sum(axis=1))
         lo, counts = lo.ravel(), counts.ravel()
         idx = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
         qx, qy = query.T
         d2 = _min_image_d2(self._x[idx] - qx[q], self._y[idx] - qy[q], self.window)
-        nearest = np.full(len(self._x), np.inf)
+        nearest = np.full(self._n_points, np.inf)
         np.minimum.at(nearest, self._order[idx], d2)
         return nearest
 
 
 class SlotSimulator:
-    """Advances the network state slot by slot.
+    """Advances the network state of a batch of replications slot by slot,
+    all of them in lockstep.
 
-    Per slot: the active primary pattern is a fresh Poisson draw; each full
-    secondary outside every guard zone transmits and empties its battery;
-    each non-full secondary inside a harvesting zone gains the
-    path-loss-scaled power of its nearest charger, capped at capacity.
-    Harvested power is a per-slot average, so no fading enters the battery
-    dynamics.
+    Per slot and replication: the active primary pattern is a fresh Poisson
+    draw from the replication's own stream; each full secondary outside
+    every guard zone transmits and empties its battery; each non-full
+    secondary inside a harvesting zone gains the path-loss-scaled power of
+    its nearest charger, capped at capacity.  Harvested power is a per-slot
+    average, so no fading enters the battery dynamics.
 
-    An optional ``dedicated_pt`` is an always-active extra charger, used to
-    realize a conditioned transmitter near a probe receiver.
+    The replications' secondaries (``st_xy`` with ``battery``,
+    ``st_transmit`` and ``st_harvest``) and chargers (``pt_xy``) are
+    concatenated in replication order; replication r holds entries
+    ``st_off[r]:st_off[r + 1]`` and ``pt_off[r]:pt_off[r + 1]``.  A slot
+    draws each replication's chargers from its own stream, then makes one
+    nearest-charger query and one battery update for the whole batch.
+
+    An optional ``dedicated_pt`` is an always-active extra charger in every
+    replication, used to realize a conditioned transmitter near a probe
+    receiver.
     """
 
     def __init__(self, params: NetworkParams, config: SimConfig,
-                 rng: np.random.Generator, *, dedicated_pt: np.ndarray | None = None):
+                 rngs: list[np.random.Generator], *, dedicated_pt: np.ndarray | None = None):
         self.params = params
-        self.rng = rng
+        self.rngs = list(rngs)
+        self.n_reps = len(self.rngs)
         self.window = config.resolved_window(params)
-        # The first step redraws this pattern; dropping the draw would shift
-        # every seeded stream.
-        self.pt_xy = _hppp(params.lambda_p, self.window, rng)
-        self.st_xy = _hppp(params.lambda_s, self.window, rng)
-        self.battery = np.zeros(len(self.st_xy))
-        self.dedicated_pt = None if dedicated_pt is None else np.asarray(dedicated_pt, float)
+        # The first step redraws these chargers; dropping the draw would
+        # shift every seeded stream.
+        self.pt_xy, self.pt_off = self._draw(params.lambda_p)
         self.pt_active = np.ones(len(self.pt_xy), dtype=bool)
-        self.st_transmit = np.zeros(len(self.st_xy), dtype=bool)
-        self.st_harvest = np.zeros(len(self.st_xy), dtype=bool)
+        self._reps = np.arange(self.n_reps)
+        self.dedicated_pt = None if dedicated_pt is None else np.asarray(dedicated_pt, float)
+        if self.dedicated_pt is not None:
+            self._dedicated_xy = np.tile(self.dedicated_pt, (self.n_reps, 1))
         self._full_level = params.power_s * (1.0 - 1e-12)
         self._rg2 = params.r_g ** 2
         self._rh2 = params.r_h ** 2
+        self._place(*self._draw(params.lambda_s))
+
+    def _draw(self, density: float) -> tuple[np.ndarray, list[int]]:
+        """One Poisson pattern per replication, each from its own stream:
+        the concatenated points and the replication offsets."""
+        parts = [_hppp(density, self.window, rng) for rng in self.rngs]
+        return np.concatenate(parts), list(itertools.accumulate(map(len, parts), initial=0))
+
+    def _place(self, st_xy: np.ndarray, st_off: list[int]) -> None:
+        """Put the secondaries at ``st_xy``, replication r's at rows
+        ``st_off[r]:st_off[r + 1]``, with empty batteries."""
+        self.st_xy, self.st_off = st_xy, st_off
+        self.st_rep = np.repeat(self._reps, np.diff(st_off))
+        self.battery = np.zeros(len(st_xy))
+        self.st_transmit = np.zeros(len(st_xy), dtype=bool)
+        self.st_harvest = np.zeros(len(st_xy), dtype=bool)
         # Nothing beyond both radii matters to a secondary, and secondaries
         # do not move: index them once for the per-slot nearest-charger query.
-        self._st_cells = _CellList(self.st_xy, self.window, max(params.r_g, params.r_h))
+        self._st_cells = _CellList(st_xy, self.window, max(self.params.r_g, self.params.r_h),
+                                   self.st_rep, self.n_reps)
 
     # -- per-slot state views ------------------------------------------------
 
     @property
     def n_st(self) -> int:
+        """Secondaries of the whole batch."""
         return len(self.st_xy)
 
-    def active_pt_xy(self) -> np.ndarray:
-        """Active network chargers this slot (dedicated point excluded)."""
-        return self.pt_xy[self.pt_active]
+    def active_pt_xy(self, r: int) -> np.ndarray:
+        """Replication r's active network chargers this slot (dedicated point
+        excluded)."""
+        return self.pt_xy[self.pt_off[r]:self.pt_off[r + 1]]
 
-    def transmitting_st_xy(self) -> np.ndarray:
-        return self.st_xy[self.st_transmit]
-
-    @property
-    def n_transmitting(self) -> int:
-        return int(self.st_transmit.sum())
-
-    @property
-    def n_harvesting(self) -> int:
-        return int(self.st_harvest.sum())
+    def transmitting_st_xy(self, r: int) -> np.ndarray:
+        """Replication r's transmitting secondaries this slot."""
+        a, b = self.st_off[r], self.st_off[r + 1]
+        return self.st_xy[a:b][self.st_transmit[a:b]]
 
     # -- dynamics --------------------------------------------------------------
 
     def step(self) -> None:
         p = self.params
-        self.pt_xy = _hppp(p.lambda_p, self.window, self.rng)
+        # Every drawn charger is active; ``pt_active`` says so to tracers.
+        self.pt_xy, self.pt_off = self._draw(p.lambda_p)
         self.pt_active = np.ones(len(self.pt_xy), dtype=bool)
 
-        sources = self.active_pt_xy()
+        sources = self.pt_xy
+        source_rep = np.repeat(self._reps, np.diff(self.pt_off))
         if self.dedicated_pt is not None:
-            sources = np.vstack([sources, self.dedicated_pt[None, :]])
+            sources = np.concatenate([sources, self._dedicated_xy])
+            source_rep = np.concatenate([source_rep, self._reps])
 
-        nearest2 = self._st_cells.nearest_d2(sources)
+        nearest2 = self._st_cells.nearest_d2(sources, source_rep)
 
         full = self.battery >= self._full_level
         in_guard = nearest2 <= self._rg2 if p.r_g > 0 else np.zeros(self.n_st, dtype=bool)
@@ -248,31 +295,44 @@ class SlotSimulator:
 
 # -- estimators ----------------------------------------------------------------
 
+# A lockstep batch holds consecutive replications whose expected secondaries
+# total at most this many (one window-1000 replication at lambda_s = 0.1), so
+# a batch's state and per-slot temporaries stay within those of one such
+# replication; wider windows run one replication per batch.
+_BATCH_SECONDARIES = 2 ** 17
+
 
 def _rep_rngs(config: SimConfig) -> list[np.random.Generator]:
     seeds = np.random.SeedSequence(config.master_seed).spawn(config.n_replications)
     return [np.random.default_rng(s) for s in seeds]
 
 
-def _measured_slots(params: NetworkParams, config: SimConfig, **sim_kwargs):
-    """The slot driver: yields ``(sim, slots)`` once per replication.
+def _measured_slots(params: NetworkParams, config: SimConfig, measure, **sim_kwargs) -> None:
+    """The slot driver: calls ``measure(sim, reps)`` after each measured slot.
 
-    ``sim`` is a fresh :class:`SlotSimulator` on the replication's stream;
-    iterating ``slots`` runs the warm-up, then yields once after each
-    measured slot, so the caller reads that slot's state (and may draw from
-    ``sim.rng``) before the next step.
+    The replications run in lockstep batches.  ``sim`` is the batch's
+    :class:`SlotSimulator`, fresh for each batch, and the slice ``reps``
+    picks its replications out of all of them, so ``sim`` replication r is
+    replication ``reps.start + r``.  Each batch runs the warm-up, then the
+    measured slots; ``measure`` reads a slot's state (and may draw from
+    ``sim.rngs``) before the next step.  Each replication draws from its own
+    stream in the order a lone replication would, and every state update is
+    elementwise, so batching changes no value.  A batch is released before
+    the next one is built, which a generator could not ensure: its caller
+    would hold the last batch while the next one runs.
     """
     warmup = config.resolved_warmup(charging_geometry(params).m_slots)
-
-    def slots(sim):
+    rngs = _rep_rngs(config)
+    expected = params.lambda_s * config.resolved_window(params) ** 2
+    size = max(1, int(_BATCH_SECONDARIES / max(expected, 1.0)))
+    for first in range(0, len(rngs), size):
+        sim = SlotSimulator(params, config, rngs[first:first + size], **sim_kwargs)
+        reps = slice(first, first + sim.n_reps)
         for i in range(warmup + config.n_slots):
             sim.step()
             if i >= warmup:
-                yield
-
-    for rng in _rep_rngs(config):
-        sim = SlotSimulator(params, config, rng, **sim_kwargs)
-        yield sim, slots(sim)
+                measure(sim, reps)
+        del sim
 
 
 def _combine(rep_means, rep_counts) -> SimEstimate:
@@ -292,15 +352,19 @@ def _combine(rep_means, rep_counts) -> SimEstimate:
 
 def estimate_p_t(params: NetworkParams, config: SimConfig) -> SimEstimate:
     """Long-run fraction of (transmitter, slot) pairs in transmitting mode."""
-    rep_means, rep_counts = [], []
-    for sim, slots in _measured_slots(params, config):
-        if sim.n_st == 0:
-            raise ValueError("window contains no secondary transmitters; "
-                             "increase lambda_s or the window side")
-        hits = sum(sim.n_transmitting for _ in slots)
-        rep_means.append(hits / (sim.n_st * config.n_slots))
-        rep_counts.append(sim.n_st * config.n_slots)
-    return _combine(rep_means, rep_counts)
+    hits = np.zeros(config.n_replications, dtype=np.int64)
+    n_st = np.zeros(config.n_replications, dtype=np.int64)
+
+    def measure(sim, reps):
+        hits[reps] += np.bincount(sim.st_rep[sim.st_transmit], minlength=sim.n_reps)
+        n_st[reps] = np.diff(sim.st_off)
+
+    _measured_slots(params, config, measure)
+    if not n_st.all():
+        raise ValueError("window contains no secondary transmitters; "
+                         "increase lambda_s or the window side")
+    samples = n_st * config.n_slots
+    return _combine(hits / samples, samples)
 
 
 def _shot_noise(xy: np.ndarray, power: float, alpha: float,
@@ -379,8 +443,15 @@ def interference_samples(params: NetworkParams, config: SimConfig,
     if mode not in ("exact", "approx", "cluster"):
         raise ValueError(f"unknown interference mode {mode!r}")
     if mode == "exact":
-        return np.asarray([_shot_noise(sim.transmitting_st_xy(), p.power_s, p.alpha, sim.rng)
-                           for sim, slots in _measured_slots(p, config) for _ in slots])
+        samples = [[] for _ in range(config.n_replications)]
+
+        def measure(sim, reps):
+            for r, out in enumerate(samples[reps]):
+                out.append(_shot_noise(sim.transmitting_st_xy(r), p.power_s, p.alpha,
+                                       sim.rngs[r]))
+
+        _measured_slots(p, config, measure)
+        return np.asarray(samples).ravel()
     window = config.resolved_window(p)
     if mode == "cluster":
         kappa, daughters = _cluster_rates(p, transmission_probability(p).conservative)
@@ -396,29 +467,36 @@ def interference_samples(params: NetworkParams, config: SimConfig,
                        for rng in _rep_rngs(config) for _ in range(config.n_slots)])
 
 
-def _sinr_samples(sim: SlotSimulator, slots, side: str, conditioning: str) -> np.ndarray:
-    """SINR samples at a probe receiver at the origin over one replication."""
-    p, rng = sim.params, sim.rng
+def _sinr_samples(params: NetworkParams, config: SimConfig, side: str,
+                  conditioning: str) -> list[np.ndarray]:
+    """SINR samples at a probe receiver at the origin, one array per replication."""
+    p = params
     if side == "primary":
         signal_power, link_dist = p.power_p, p.d_p
     else:
         signal_power, link_dist = p.power_s, p.d_s
     reject = side == "secondary" and conditioning == "rejection" and p.r_g > 0
     rg2 = p.r_g ** 2
-    out = []
-    for _ in slots:
-        act = sim.active_pt_xy()
-        # _min_image_d2 overwrites its inputs, and ``act`` feeds the shot noise below.
-        if reject and len(act) and _min_image_d2(act[:, 0] - link_dist, act[:, 1].copy(),
-                                                 sim.window).min() <= rg2:
-            continue
-        i_p = 0.0 if side == "wit" else _shot_noise(act, p.power_p, p.alpha, rng)
-        i_s = _shot_noise(sim.transmitting_st_xy(), p.power_s, p.alpha, rng)
-        g = rng.exponential()
-        denom = i_p + i_s + p.noise
-        signal = g * signal_power * link_dist ** -p.alpha
-        out.append(signal / denom if denom > 0 else np.inf)
-    return np.asarray(out)
+    sim_kwargs = {"dedicated_pt": np.array([p.d_p, 0.0])} if side == "primary" else {}
+    samples = [[] for _ in range(config.n_replications)]
+
+    def measure(sim, reps):
+        for r, out in enumerate(samples[reps]):
+            rng = sim.rngs[r]
+            act = sim.active_pt_xy(r)
+            # _min_image_d2 overwrites its inputs, and ``act`` feeds the shot noise below.
+            if reject and len(act) and _min_image_d2(act[:, 0] - link_dist, act[:, 1].copy(),
+                                                     sim.window).min() <= rg2:
+                continue
+            i_p = 0.0 if side == "wit" else _shot_noise(act, p.power_p, p.alpha, rng)
+            i_s = _shot_noise(sim.transmitting_st_xy(r), p.power_s, p.alpha, rng)
+            g = rng.exponential()
+            denom = i_p + i_s + p.noise
+            signal = g * signal_power * link_dist ** -p.alpha
+            out.append(signal / denom if denom > 0 else np.inf)
+
+    _measured_slots(p, config, measure, **sim_kwargs)
+    return [np.asarray(out) for out in samples]
 
 
 def outage_curve(params: NetworkParams, config: SimConfig, side: str,
@@ -449,13 +527,11 @@ def outage_curve(params: NetworkParams, config: SimConfig, side: str,
                 f"conditioning event too rare: expected acceptance rate {pg:.3e}")
 
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    sim_kwargs = {"dedicated_pt": np.array([params.d_p, 0.0])} if side == "primary" else {}
     per_theta_means = [[] for _ in thetas]
     per_theta_counts = [[] for _ in thetas]
-    total_slots = total_kept = 0
-    for sim, slots in _measured_slots(params, config, **sim_kwargs):
-        sinr = _sinr_samples(sim, slots, side, conditioning)
-        total_slots += config.n_slots
+    total_slots = config.n_replications * config.n_slots
+    total_kept = 0
+    for sinr in _sinr_samples(params, config, side, conditioning):
         total_kept += len(sinr)
         if len(sinr) == 0:
             continue

@@ -169,6 +169,16 @@ def test_simulate_bad_warmup_or_window_fails_cleanly(config_path, tmp_path, caps
     assert not out.exists()
 
 
+def test_simulate_oversized_window_fails_cleanly(config_path, tmp_path, capsys):
+    # ~1e17 secondaries: the first allocation fails at once, using no memory
+    out = tmp_path / "x.csv"
+    rc = main(["simulate", "--config", config_path, "--out", str(out), "--window", "1e9"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rfharvest: error: Unable to allocate") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_simulate_interference_cdf(config_path, tmp_path):
     out = tmp_path / "cdf.csv"
     rc = main(["simulate", "--config", config_path, "--out", str(out),
@@ -314,3 +324,31 @@ def test_design_point_script_runs(tmp_path, r_g):
     lines = run.stdout.splitlines()
     assert any(line.startswith("optimal transmit power") for line in lines)
     assert any(line.startswith("transmit probability") for line in lines)
+
+
+def test_traced_benchmark_session_runs(tmp_path):
+    # perfbench/tracer.py wraps SlotSimulator.step and reads its pt_active,
+    # dedicated_pt and n_st: a traced benchmark repeat must still run
+    trace_dir = tmp_path / "spans"
+    trace_dir.mkdir()
+    request = {"trace_dir": str(trace_dir), "parts": [
+        [["figure", "--id", "9", "--out-dir", str(tmp_path / "fig"), "--seed", "1",
+          "--replications", "2", "--slots", "5", "--window", "40"]],
+        [["simulate", "--config", "configs/example.json", "--out", str(tmp_path / "pt.csv"),
+          "--target", "p_t", "--window", "40", "--replications", "2", "--slots", "5",
+          "--warmup", "5"]],
+    ]}
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "session.py"), json.dumps(request)],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120)
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout.splitlines()[-1])
+    assert [part["ok"] for part in report["parts"]] == [True, True], run.stderr
+    (span_file,) = trace_dir.glob("worker-*.json")
+    spans = json.loads(span_file.read_text())
+    assert spans["spans"]["sim.step"]["calls"] > 0
+    assert spans["spans"]["sim.step"]["errors"] == 0
+    assert spans["counters"]["sim.step.pairs"] > 0

@@ -79,13 +79,17 @@ def test_torus_metric_wraps():
 class DenseNearest:
     """The all-pairs nearest-point query that the cell list replaces."""
 
-    def __init__(self, xy, window, radius):
+    def __init__(self, xy, window, radius, rep=None, n_reps=1):
         self.xy, self.window = xy, window
+        self.rep = np.zeros(len(xy), dtype=int) if rep is None else rep
 
-    def nearest_d2(self, query):
+    def nearest_d2(self, query, rep=None):
+        rep = np.zeros(len(query), dtype=int) if rep is None else rep
         if len(self.xy) == 0 or len(query) == 0:
             return np.full(len(self.xy), np.inf)
-        return _torus_d2(self.xy, query, self.window).min(axis=1)
+        d2 = _torus_d2(self.xy, query, self.window)
+        d2[self.rep[:, None] != rep[None, :]] = np.inf
+        return d2.min(axis=1)
 
 
 def assert_matches_dense(points, query, window, radius):
@@ -126,6 +130,25 @@ def test_cell_list_window_edges(radius):
     assert d2[0] == pytest.approx(2 * (half - below) ** 2)
 
 
+def test_cell_list_keeps_replications_apart():
+    # Three replications on one window: each point sees only the query
+    # points of its own replication, also where another's lie closer
+    rng = RNG(4)
+    pts = rng.uniform(-30, 30, (600, 2))
+    rep = np.repeat(np.arange(3), [250, 0, 350])
+    query = rng.uniform(-30, 30, (90, 2))
+    query_rep = rng.integers(0, 3, 90)
+    for radius in (2.0, 7.0, 25.0, 40.0):  # 14, 8, 2 and 1 cells per side
+        got = _CellList(pts, 60.0, radius, rep, 3).nearest_d2(query, query_rep)
+        dense = DenseNearest(pts, 60.0, radius, rep, 3).nearest_d2(query, query_rep)
+        near = dense <= radius ** 2
+        assert np.array_equal(got[near], dense[near])
+        assert np.all(got[~near] > radius ** 2)
+        alone = _CellList(pts[250:], 60.0, radius).nearest_d2(query[query_rep == 2])
+        assert np.array_equal(got[250:][near[250:]], alone[near[250:]])
+        assert near.any()
+
+
 def test_cell_list_without_chargers_or_points():
     none = np.zeros((0, 2))
     pts = RNG(3).uniform(-30, 30, (20, 2))
@@ -145,9 +168,9 @@ def test_step_states_match_dense_query(monkeypatch, r_g, lambda_p, window, dedic
                     power_s=0.15)
     cfg = small_cfg(window_side=window)
     kw = {} if dedicated is None else {"dedicated_pt": np.array(dedicated)}
-    sims = [SlotSimulator(p, cfg, RNG(11), **kw)]
+    sims = [SlotSimulator(p, cfg, [RNG(11), RNG(12)], **kw)]
     monkeypatch.setattr(sim_module, "_CellList", DenseNearest)
-    sims.append(SlotSimulator(p, cfg, RNG(11), **kw))
+    sims.append(SlotSimulator(p, cfg, [RNG(11), RNG(12)], **kw))
     assert sims[0].n_st > 0
     transmits = harvests = 0
     for _ in range(40):
@@ -157,9 +180,44 @@ def test_step_states_match_dense_query(monkeypatch, r_g, lambda_p, window, dedic
         assert np.array_equal(cell.battery, dense.battery)
         assert np.array_equal(cell.st_transmit, dense.st_transmit)
         assert np.array_equal(cell.st_harvest, dense.st_harvest)
-        transmits += cell.n_transmitting
-        harvests += cell.n_harvesting
+        transmits += cell.st_transmit.sum()
+        harvests += cell.st_harvest.sum()
     assert transmits > 0 and harvests > 0
+
+
+@pytest.mark.parametrize("n_reps", [1, 3, 8])
+@pytest.mark.parametrize("r_g, lambda_p, window, dedicated", [
+    (3.0, 0.05, 30.0, None),
+    (3.0, 0.05, 30.0, (0.5, 0.0)),
+    (0.0, 0.3, 2.5, (0.5, 0.0)),    # about 1 in 7 slots draws no charger
+    (0.0, 0.3, 1.5, None),          # about 1 in 2
+])
+def test_lockstep_matches_replications_stepped_alone(n_reps, r_g, lambda_p, window,
+                                                     dedicated):
+    p = make_params(r_g=r_g, r_h=1.0, lambda_s=2.0, lambda_p_total=lambda_p, power_p=2.0,
+                    power_s=0.15)
+    cfg = small_cfg(window_side=window)
+    kw = {} if dedicated is None else {"dedicated_pt": np.array(dedicated)}
+    seeds = range(20, 20 + n_reps)
+    batch = SlotSimulator(p, cfg, [RNG(s) for s in seeds], **kw)
+    alone = [SlotSimulator(p, cfg, [RNG(s)], **kw) for s in seeds]
+    assert batch.st_off == list(np.cumsum([0] + [a.n_st for a in alone]))
+    transmits = harvests = chargerless = 0
+    for _ in range(40):
+        batch.step()
+        for r, sim in enumerate(alone):
+            sim.step()
+            st = slice(batch.st_off[r], batch.st_off[r + 1])
+            assert np.array_equal(batch.pt_xy[batch.pt_off[r]:batch.pt_off[r + 1]], sim.pt_xy)
+            assert np.array_equal(batch.battery[st], sim.battery)
+            assert np.array_equal(batch.st_transmit[st], sim.st_transmit)
+            assert np.array_equal(batch.st_harvest[st], sim.st_harvest)
+            assert np.array_equal(batch.transmitting_st_xy(r), sim.transmitting_st_xy(0))
+            chargerless += len(sim.pt_xy) == 0
+        transmits += batch.st_transmit.sum()
+        harvests += batch.st_harvest.sum()
+    assert transmits > 0 and harvests > 0
+    assert chargerless > 0 or window > 10
 
 
 def test_cluster_guard_filter_matches_dense_query(monkeypatch):
@@ -176,7 +234,7 @@ def test_cluster_guard_filter_matches_dense_query(monkeypatch):
 def test_step_scales_to_wide_windows(fig9_params):
     # ~100k secondaries and ~10k chargers: the all-pairs query would need a
     # ~7 GB temporary
-    sim = SlotSimulator(fig9_params, SimConfig(window_side=1000.0), RNG(2))
+    sim = SlotSimulator(fig9_params, SimConfig(window_side=1000.0), [RNG(2)])
     assert sim.n_st > 90_000
     tracemalloc.start()
     try:
@@ -186,9 +244,54 @@ def test_step_scales_to_wide_windows(fig9_params):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(sim.pt_xy) > 9_000 and sim.n_harvesting > 0
+    assert len(sim.pt_xy) > 9_000 and sim.st_harvest.any()
     assert peak < 64 * 2 ** 20
     assert elapsed < 5.0
+
+
+def test_batch_size_changes_no_estimate(monkeypatch):
+    # One replication per batch returns exactly what one batch of all of
+    # them returns
+    p = make_params(lambda_s=0.1, power_p=2.0)
+    cfg = small_cfg(n_replications=4)
+    thetas = [0.5, 5.0, 50.0]
+    batch_sizes = []
+
+    class Recorded(SlotSimulator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            batch_sizes.append(self.n_reps)
+
+    def run():
+        batch_sizes.clear()
+        return (estimate_p_t(p, cfg),
+                [outage_curve(p, cfg, side, thetas) for side in ("primary", "secondary", "wit")],
+                interference_samples(p, cfg, "exact"))
+
+    monkeypatch.setattr(sim_module, "SlotSimulator", Recorded)
+    pt, outage, interference = run()
+    assert batch_sizes == [4] * 5
+    monkeypatch.setattr(sim_module, "_BATCH_SECONDARIES", 1)
+    pt_alone, outage_alone, interference_alone = run()
+    assert batch_sizes == [1] * 20
+    assert pt_alone == pt and outage_alone == outage
+    assert np.array_equal(interference_alone, interference)
+    assert 0 < pt.mean < 1 and len(interference) == 4 * cfg.n_slots
+
+
+def test_batches_stay_within_one_wide_replication(fig9_params):
+    # At window 1000 one replication fills a batch, so three replications
+    # need no more memory than one
+    def peak(n_reps):
+        cfg = SimConfig(window_side=1000.0, n_slots=1, n_replications=n_reps, warmup=0)
+        tracemalloc.start()
+        try:
+            estimate_p_t(fig9_params, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(3) <= 1.5 * peak(1)
 
 
 # -- slot dynamics -----------------------------------------------------------------
@@ -198,11 +301,10 @@ def one_charger_sim(p, st_x, battery=0.0):
     """One secondary at (st_x, 0) holding ``battery`` and one always-on
     charger at the origin: a simulator built without secondaries, then given
     that one."""
-    sim = SlotSimulator(replace_params(p, lambda_s=0.0), small_cfg(), RNG(0),
+    sim = SlotSimulator(replace_params(p, lambda_s=0.0), small_cfg(), [RNG(0)],
                         dedicated_pt=np.zeros(2))
-    sim.st_xy = np.array([[st_x, 0.0]])
-    sim.battery = np.array([battery])
-    sim._st_cells = _CellList(sim.st_xy, sim.window, max(p.r_g, p.r_h))
+    sim._place(np.array([[st_x, 0.0]]), [0, 1])
+    sim.battery[0] = battery
     return sim
 
 
@@ -234,16 +336,16 @@ def test_full_battery_outside_guard_zones_transmits():
 def test_modes_partition_and_battery_capped():
     p = make_params(lambda_s=0.3, power_s=0.15, power_p=2.0, r_h=1.5, r_g=4.0)
     cfg = small_cfg(window_side=80.0)
-    sim = SlotSimulator(p, cfg, RNG(5))
+    sim = SlotSimulator(p, cfg, [RNG(5)])
     for _ in range(60):
         sim.step()
         assert not np.any(sim.st_transmit & sim.st_harvest)
         assert sim.battery.max() <= p.power_s + 1e-12
-        if sim.n_transmitting:
+        if sim.st_transmit.any():
             # no transmitter may sit inside any guard zone
-            act = sim.active_pt_xy()
+            act = sim.active_pt_xy(0)
             if len(act):
-                d2 = _torus_d2(sim.transmitting_st_xy(), act, sim.window)
+                d2 = _torus_d2(sim.transmitting_st_xy(0), act, sim.window)
                 assert d2.min() > p.r_g ** 2
 
 
