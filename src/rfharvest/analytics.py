@@ -3,6 +3,8 @@
 Every function here is a pure formula evaluation on validated parameters
 (the conditional secondary outage adds a fixed-accuracy quadrature over the
 guard hole); the Monte Carlo counterparts live in :mod:`rfharvest.sim`.
+The zone, transmission and outage forms also take a table of parameter
+sets (see :mod:`rfharvest.params`) and then return columns.
 """
 
 from __future__ import annotations
@@ -11,7 +13,10 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .params import ChargingGeometry, NetworkParams, charging_geometry
+import numpy as np
+
+from .params import (ChargingGeometry, NetworkParams, _each, _fail, _pow, _rowwise,
+                     charging_geometry)
 
 __all__ = [
     "ZoneProbabilities",
@@ -56,12 +61,12 @@ def p_guard(lambda_p_active: float, r_g: float) -> float:
     Void probability of a disk of radius r_g under a Poisson field of
     active primary transmitters: exp(-pi r_g^2 lambda_p).
     """
-    return math.exp(-math.pi * r_g * r_g * lambda_p_active)
+    return _each(math.exp, -math.pi * r_g * r_g * lambda_p_active)
 
 
 def p_harvest(lambda_p_active: float, r_h: float) -> float:
     """Probability that at least one active charger lies within r_h."""
-    return -math.expm1(-math.pi * r_h * r_h * lambda_p_active)
+    return -_each(math.expm1, -math.pi * r_h * r_h * lambda_p_active)
 
 
 @dataclass(frozen=True)
@@ -86,41 +91,40 @@ class ZoneProbabilities:
     p_3: float = 0.0
 
 
+@_rowwise
 def zone_probabilities(params: NetworkParams,
                        geometry: ChargingGeometry | None = None) -> ZoneProbabilities:
     """Void-probability split of the harvesting zone for the given geometry."""
     if geometry is None:
         geometry = charging_geometry(params)
     lam = params.lambda_p
-    pg = p_guard(lam, params.r_g)
-    ph = p_harvest(lam, params.r_h)
     m = geometry.m_slots
-    if m == 1:
-        return ZoneProbabilities(p_g=pg, p_h=ph)
-    e_h1 = math.exp(-math.pi * geometry.h1 ** 2 * lam)
-    e_rh = math.exp(-math.pi * params.r_h ** 2 * lam)
-    p1 = -math.expm1(-math.pi * geometry.h1 ** 2 * lam)
-    if m == 2:
-        return ZoneProbabilities(p_g=pg, p_h=ph, p_1=p1, p_2=e_h1 - e_rh)
-    e_h2 = math.exp(-math.pi * geometry.h2 ** 2 * lam)
-    return ZoneProbabilities(p_g=pg, p_h=ph, p_1=p1,
-                             p2_prime=e_h1 - e_h2, p_3=e_h2 - e_rh)
+    a_h1 = -math.pi * _pow(geometry.h1, 2) * lam
+    e_h1 = _each(math.exp, a_h1)
+    e_h2 = _each(math.exp, -math.pi * _pow(geometry.h2, 2) * lam)
+    e_rh = _each(math.exp, -math.pi * _pow(params.r_h, 2) * lam)
+    p1 = -_each(math.expm1, a_h1)
+    two, three = m >= 2, m >= 3
+    return ZoneProbabilities(p_g=p_guard(lam, params.r_g), p_h=p_harvest(lam, params.r_h),
+                             p_1=np.where(two, p1, 0.0), p_2=np.where(m == 2, e_h1 - e_rh, 0.0),
+                             p2_prime=np.where(three, e_h1 - e_h2, 0.0),
+                             p_3=np.where(three, e_h2 - e_rh, 0.0))
 
 
 # -- closed-form transmission probabilities ---------------------------------
 
+@_rowwise
 def pt_single_slot(p_h: float, p_g: float) -> float:
     """Stationary transmit probability when one slot always fills the battery."""
-    if p_h <= 0.0:
-        return 0.0
-    return p_h * p_g / (p_h + p_g)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p_h <= 0.0, 0.0, p_h * p_g / (p_h + p_g))
 
 
+@_rowwise
 def pt_double_slot(p_h: float, p_2: float, p_g: float) -> float:
     """Stationary transmit probability for two-slot charging."""
-    if p_h <= 0.0:
-        return 0.0
-    return p_h * p_g / (p_h + p_g * (1.0 + p_2 / p_h))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p_h <= 0.0, 0.0, p_h * p_g / (p_h + p_g * (1.0 + p_2 / p_h)))
 
 
 def pt_multi_bounds(p_1: float, p2_prime: float, p_3: float,
@@ -141,7 +145,8 @@ class TransmissionProbability:
 
     ``value`` is set only when the chain is exact (m_slots <= 2); otherwise
     consumers choose an endpoint of [lower, upper], and where one value must
-    stand for the interval they take :attr:`conservative`.
+    stand for the interval they take :attr:`conservative`.  For a table,
+    ``value`` is NaN in the rows where it is not set.
     """
 
     m_slots: int
@@ -149,8 +154,13 @@ class TransmissionProbability:
     upper: float
     value: float | None = None
 
+    _NAN_IS_NONE = ("value",)
+
     @property
     def exact(self) -> bool:
+        """Whether ``value`` is set; for a table, a column of them."""
+        if isinstance(self.value, np.ndarray):
+            return ~np.isnan(self.value)
         return self.value is not None
 
     @property
@@ -160,6 +170,7 @@ class TransmissionProbability:
         return self.upper
 
 
+@_rowwise
 def transmission_probability(params: NetworkParams,
                              geometry: ChargingGeometry | None = None,
                              zones: ZoneProbabilities | None = None) -> TransmissionProbability:
@@ -175,14 +186,12 @@ def transmission_probability(params: NetworkParams,
         geometry = charging_geometry(params)
     z = zone_probabilities(params, geometry) if zones is None else zones
     m = geometry.m_slots
-    if m == 1:
-        v = pt_single_slot(z.p_h, z.p_g)
-        return TransmissionProbability(m_slots=m, lower=v, upper=v, value=v)
-    if m == 2:
-        v = pt_double_slot(z.p_h, z.p_2, z.p_g)
-        return TransmissionProbability(m_slots=m, lower=v, upper=v, value=v)
+    exact = m <= 2
+    v = np.where(m == 1, pt_single_slot(z.p_h, z.p_g), pt_double_slot(z.p_h, z.p_2, z.p_g))
     lo, hi = pt_multi_bounds(z.p_1, z.p2_prime, z.p_3, z.p_g)
-    return TransmissionProbability(m_slots=m, lower=lo, upper=hi)
+    return TransmissionProbability(m_slots=m, lower=np.where(exact, v, lo),
+                                   upper=np.where(exact, v, hi),
+                                   value=np.where(exact, v, np.nan))
 
 
 # -- outage ------------------------------------------------------------------
@@ -210,14 +219,15 @@ def tau_primary(params: NetworkParams, active_density: float) -> float:
     """
     p = params
     interference = (p.lambda_p
-                    + active_density * (p.power_s / p.power_p) ** (2.0 / p.alpha))
-    tau = interference * p.theta_p ** (2.0 / p.alpha) * p.d_p ** 2 * phi(p.alpha)
-    return tau + p.theta_p * p.d_p ** p.alpha * p.noise / p.power_p
+                    + active_density * _pow(p.power_s / p.power_p, 2.0 / p.alpha))
+    tau = (interference * _pow(p.theta_p, 2.0 / p.alpha) * _pow(p.d_p, 2)
+           * _each(phi, p.alpha))
+    return tau + p.theta_p * _pow(p.d_p, p.alpha) * p.noise / p.power_p
 
 
 def outage_primary(params: NetworkParams, active_density: float) -> OutageResult:
     tau = tau_primary(params, active_density)
-    return OutageResult(tau=tau, probability=-math.expm1(-tau))
+    return OutageResult(tau=tau, probability=-_each(math.expm1, -tau))
 
 
 def tau_secondary(params: NetworkParams, active_density: float) -> float:
@@ -386,6 +396,7 @@ def _lens_area(d: float, r: float) -> float:
     return 2.0 * r * r * math.acos(d / (2.0 * r)) - 0.5 * d * math.sqrt(4.0 * r * r - d * d)
 
 
+@_rowwise
 def outage_secondary(params: NetworkParams, active_density: float) -> OutageResult:
     """Secondary outage conditioned on the transmitter being outside guard zones.
 
@@ -410,17 +421,17 @@ def outage_secondary(params: NetworkParams, active_density: float) -> OutageResu
     """
     p = params
     lam = p.lambda_p
-    pg = p_guard(lam, p.r_g)
-    if pg <= 0.0:
-        raise ValueError("guard zones cover the plane (p_g = 0)")
-    s = p.theta_s * p.d_s ** p.alpha / p.power_s
-    ph = phi(p.alpha)
-    tau = (active_density * math.exp(lam * _lens_area(p.d_s, p.r_g))
-           * ph * (s * p.power_s) ** (2.0 / p.alpha) + s * p.noise)
-    if lam > 0.0:
-        c = s * p.power_p
-        tau += lam * (ph * c ** (2.0 / p.alpha) - _hole_integral(p.d_s, p.r_g, p.alpha, c))
-    return OutageResult(tau=tau, probability=-math.expm1(-tau))
+    _fail(p_guard(lam, p.r_g) <= 0.0,
+          lambda k: ValueError("guard zones cover the plane (p_g = 0)"))
+    s = p.theta_s * _pow(p.d_s, p.alpha) / p.power_s
+    ph = _each(phi, p.alpha)
+    tau = (active_density * _each(math.exp, lam * _each(_lens_area, p.d_s, p.r_g))
+           * ph * _pow(s * p.power_s, 2.0 / p.alpha) + s * p.noise)
+    c = s * p.power_p
+    hole = lam * (ph * _pow(c, 2.0 / p.alpha) - _each(_hole_integral, p.d_s, p.r_g, p.alpha, c))
+    tau = np.where(lam > 0.0, tau + hole, tau)
+    return OutageResult(tau=tau, probability=-_each(math.expm1, -tau),
+                        clamped=np.zeros(len(tau), dtype=bool))
 
 
 def outage_secondary_paper(params: NetworkParams, active_density: float) -> OutageResult:
@@ -457,4 +468,4 @@ def wit_outage(params: NetworkParams, active_density: float) -> OutageResult:
 
 def spatial_throughput(p_t: float, lambda_s: float, theta_s: float) -> float:
     """Area throughput (bps/Hz/unit-area) of the transmitting population."""
-    return p_t * lambda_s * math.log2(1.0 + theta_s)
+    return p_t * lambda_s * _each(math.log2, 1.0 + theta_s)

@@ -9,8 +9,6 @@ command it records.  Plotting is left to external tools.
 from __future__ import annotations
 
 import argparse
-import csv
-import itertools
 import json
 import math
 import os
@@ -24,8 +22,8 @@ from . import __version__
 from .analytics import (outage_primary, outage_secondary, transmission_probability,
                         zone_probabilities)
 from .optimize import InfeasibleError, solve, solve_p1_closed_form
-from .params import (NetworkParams, ParameterError, charging_geometry, load_params,
-                     params_to_dict, validate)
+from .params import (NetworkParams, ParameterError, _row, _take, charging_geometry,
+                     load_params, params_to_dict, validate)
 from .sim import (ConditioningTooRareError, SimConfig, estimate_outage, estimate_p_t,
                   interference_samples, outage_curve)
 
@@ -76,17 +74,38 @@ def parse_sweep(text: str) -> SweepSpec:
     return SweepSpec(name=name, start=start, stop=stop, n_points=n, scale=scale)
 
 
-def _sweep_points(sweeps: list[SweepSpec]) -> list[dict]:
-    if not sweeps:
-        return [{}]
-    grids = [s.values() for s in sweeps]
-    names = [s.name for s in sweeps]
-    return [dict(zip(names, combo)) for combo in itertools.product(*grids)]
+def _table(base: NetworkParams, columns: dict) -> NetworkParams:
+    """``base`` as a table whose fields named in ``columns`` take those
+    columns, one row per entry (one row when ``columns`` is empty)."""
+    n = len(next(iter(columns.values()))) if columns else 1
+    table = {name: np.full(n, float(v)) for name, v in params_to_dict(base).items()}
+    table.update({name: np.asarray(c, dtype=float) for name, c in columns.items()})
+    return NetworkParams(**table)
 
 
-def _point_params(base: NetworkParams, overrides: dict) -> NetworkParams:
-    p = replace(base, **{k: float(v) for k, v in overrides.items()})
-    return validate(p, warn=False)
+def _sweep_table(base: NetworkParams, sweeps: list[SweepSpec]) -> NetworkParams:
+    """The cartesian grid of ``sweeps`` over ``base`` as a table, one row per
+    point, the first sweep varying slowest; a later sweep of the same name
+    wins.  Not validated."""
+    grids = np.meshgrid(*[s.values() for s in sweeps], indexing="ij")
+    return _table(base, {s.name: g.ravel() for s, g in zip(sweeps, grids)})
+
+
+def _first_error(table_columns, table: NetworkParams) -> list:
+    """``table_columns(table)``; when a row fails, the error of the first row
+    that fails, as evaluating the rows one by one meets it.
+
+    A row error names its row k, and no row before k failed the same or an
+    earlier check, but one may fail a later check: the rows before k are
+    evaluated again.
+    """
+    try:
+        return table_columns(table)
+    except ValueError as exc:
+        row = getattr(exc, "row", 0)
+        if row:
+            _first_error(table_columns, _take(table, slice(0, row)))
+        raise
 
 
 def _point_seed(master_seed: int, index: int) -> int:
@@ -103,14 +122,32 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_csv(path, header_lines, columns, rows) -> None:
+def _fmt_column(values) -> list[str]:
+    """Each value formatted as :func:`_fmt` formats it."""
+    if isinstance(values, np.ndarray):
+        if values.dtype == np.float64:
+            return ["" if v != v else format(v, ".12g") for v in values.tolist()]
+        values = values.tolist()
+    return [_fmt(v) for v in values]
+
+
+# Rows formatted at a time: bounds the memory the formatted text takes.
+_CHUNK_ROWS = 2048
+
+
+def _write_csv(path, header_lines, names, columns) -> None:
+    """Write a CSV of ``columns``, one sequence of values per name in ``names``.
+
+    Names and values are identifiers, numbers and bare words, which CSV
+    never quotes, so a row is its fields joined by commas.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(columns)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        fh.write(",".join(names) + "\n")
+        for i in range(0, len(columns[0]), _CHUNK_ROWS):
+            rows = zip(*[_fmt_column(c[i:i + _CHUNK_ROWS]) for c in columns])
+            fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def _headers(command: str, params: NetworkParams, *, sweeps=(), seed=None,
@@ -145,23 +182,22 @@ def _pooled_map(fn, jobs):
         return list(pool.map(fn, jobs))
 
 
-def _write_sweep(args, command, columns, point_rows, **header_kw) -> int:
+def _write_sweep(args, command, names, table_columns, **header_kw) -> int:
     """Write one row per point of the ``--sweep`` grid over ``--config``.
 
-    A row is the point's swept values followed by its entry of
-    ``point_rows(params)``, which maps an iterator over the validated
-    per-point parameters, built lazily, to a list with one list of columns
-    per point.  That list is complete before the file is opened, so a
-    failing point leaves no partial CSV.
+    A row is the point's swept values followed by its entries of
+    ``table_columns(table)``, which maps the grid's table, not yet
+    validated, to one sequence per column in ``names``.  Every column is
+    complete before the file is opened, so a failing point leaves no
+    partial CSV.
     """
     base = load_params(args.config)
     sweeps = [parse_sweep(s) for s in args.sweep]
-    points = _sweep_points(sweeps)
-    names = [s.name for s in sweeps]
-    tails = point_rows(_point_params(base, overrides) for overrides in points)
-    rows = ([overrides[n] for n in names] + tail for overrides, tail in zip(points, tails))
+    table = _sweep_table(base, sweeps)
+    swept = [s.name for s in sweeps]
+    columns = [getattr(table, n) for n in swept] + list(table_columns(table))
     _write_csv(args.out, _headers(command, base, sweeps=sweeps, **header_kw),
-               tuple(names) + columns, rows)
+               tuple(swept) + names, columns)
     return 0
 
 
@@ -172,22 +208,22 @@ ANALYZE_COLUMNS = ("m_slots", "p_g", "p_h", "p_t_exact", "p_t_lower", "p_t_upper
                    "outage_s_clamped")
 
 
-def _analyze_row(params: NetworkParams) -> list:
-    geom = charging_geometry(params)
-    z = zone_probabilities(params, geom)
-    tp = transmission_probability(params, geom, z)
-    active = tp.conservative * params.lambda_s
-    op = outage_primary(params, active)
-    osec = outage_secondary(params, active)
-    return [geom.m_slots, z.p_g, z.p_h,
-            tp.value if tp.exact else float("nan"), tp.lower, tp.upper,
+def _analyze_columns(table: NetworkParams) -> list:
+    validate(table, warn=False)
+    geom = charging_geometry(table)
+    z = zone_probabilities(table, geom)
+    tp = transmission_probability(table, geom, z)
+    active = tp.conservative * table.lambda_s
+    op = outage_primary(table, active)
+    osec = outage_secondary(table, active)
+    return [geom.m_slots, z.p_g, z.p_h, tp.value, tp.lower, tp.upper,
             active, op.tau, op.probability, osec.tau, osec.probability,
-            int(osec.clamped)]
+            osec.clamped.astype(int)]
 
 
 def cmd_analyze(args) -> int:
     return _write_sweep(args, "analyze", ANALYZE_COLUMNS,
-                        lambda points: [_analyze_row(p) for p in points])
+                        lambda table: _first_error(_analyze_columns, table))
 
 
 # -- simulate ------------------------------------------------------------------
@@ -222,12 +258,15 @@ def cmd_simulate(args) -> int:
                      mode=args.mode, target=args.target)
 
     if args.target not in ("interference", "interference-cdf"):
-        def point_rows(points):
-            return _pooled_map(_simulate_point, [
-                (p, replace(config, master_seed=_point_seed(args.seed, i)), args.target)
-                for i, p in enumerate(points)])
+        def table_columns(table):
+            validate(table, warn=False)
+            rows = _pooled_map(_simulate_point, [
+                (_row(table, i), replace(config, master_seed=_point_seed(args.seed, i)),
+                 args.target)
+                for i in range(len(table.power_s))])
+            return list(zip(*rows))
         return _write_sweep(args, "simulate", ("estimate", "half_width", "n_samples"),
-                            point_rows, **header_kw)
+                            table_columns, **header_kw)
 
     if args.sweep:
         raise ValueError(f"target {args.target} does not support sweeps")
@@ -235,10 +274,10 @@ def cmd_simulate(args) -> int:
     config = replace(config, master_seed=_point_seed(args.seed, 0))
     headers = _headers("simulate", base, **header_kw)
     if args.target == "interference":
-        samples = interference_samples(base, config, args.mode)
-        _write_csv(args.out, headers, ("i_s",), [[v] for v in samples])
+        _write_csv(args.out, headers, ("i_s",),
+                   [interference_samples(base, config, args.mode)])
     else:
-        _write_csv(args.out, headers, CDF_COLUMNS, zip(*_cdf(base, config)))
+        _write_csv(args.out, headers, CDF_COLUMNS, _cdf(base, config))
     return 0
 
 
@@ -249,22 +288,19 @@ OPTIMIZE_COLUMNS = ("status", "problem", "p_s_star", "m_at_optimum", "active_den
                     "mu_p", "mu_s", "binding")
 
 
-def _optimize_row(params: NetworkParams) -> list:
-    problem = "p2" if params.r_g == 0 else "p1"
-    try:
-        res = solve(params)
-    except InfeasibleError:
-        return ["infeasible", problem] + [float("nan")] * 9 + [""]
-    lo, hi = res.lambda_s_interval if res.lambda_s_interval else (float("nan"),) * 2
-    return ["ok", problem, res.p_s_star, res.m_at_optimum, res.active_density,
-            res.lambda_s_star, lo, hi, res.throughput,
-            float("nan") if res.mu_p is None else res.mu_p, res.mu_s,
-            "+".join(res.binding)]
+def _optimize_columns(table: NetworkParams) -> list:
+    validate(table, warn=False)
+    res = solve(table)
+    lo, hi = res.lambda_s_interval
+    return [np.where(res.binding == "", "infeasible", "ok"),
+            np.where(table.r_g == 0, "p2", "p1"), res.p_s_star, res.m_at_optimum,
+            res.active_density, res.lambda_s_star, lo, hi, res.throughput, res.mu_p,
+            res.mu_s, res.binding]
 
 
 def cmd_optimize(args) -> int:
     return _write_sweep(args, "optimize", OPTIMIZE_COLUMNS,
-                        lambda points: [_optimize_row(p) for p in points])
+                        lambda table: _first_error(_optimize_columns, table))
 
 
 # -- canned studies -------------------------------------------------------------
@@ -287,46 +323,41 @@ def _sim_cfg(args, *, replications, slots, seed_index=0) -> SimConfig:
         master_seed=_point_seed(args.seed, seed_index), window_side=args.window)
 
 
-def _curve(out_dir, name, header, columns, grid, tails) -> str:
+def _curve(out_dir, name, header, names, grid, columns) -> str:
     """Write one study curve to ``out_dir/name``: a row per grid value, the
-    value followed by its entry of ``tails``.  Returns the path."""
+    value followed by its entries of ``columns``.  Returns the path."""
     path = os.path.join(out_dir, name)
-    _write_csv(path, header, columns, [[float(v), *tail] for v, tail in zip(grid, tails)])
+    _write_csv(path, header, names, [grid, *columns])
     return path
-
-
-def _pt_columns(tp) -> list:
-    return [tp.m_slots, tp.value if tp.exact else float("nan"), tp.lower, tp.upper]
 
 
 def _figure_5(args, out_dir) -> list[str]:
     base = _study_params(r_g=4.0, r_h=1.5, power_p=2.0)
     grid = np.linspace(0.01, 0.16, 20)
-    cols = [_pt_columns(transmission_probability(replace(base, power_s=float(ps))))
-            for ps in grid]
+    tp = transmission_probability(_table(base, {"power_s": grid}))
     hdr = _headers("figure 5", base, seed=args.seed)
-    files = [_curve(out_dir, f"fig5_pt_{curve}.csv", hdr, ("power_s", "p_t"), grid,
-                    [[c[k]] for c in cols])
-             for k, curve in enumerate(("exact", "lower", "upper"), start=1)]
+    files = [_curve(out_dir, f"fig5_pt_{curve}.csv", hdr, ("power_s", "p_t"), grid, [p_t])
+             for curve, p_t in (("exact", tp.value), ("lower", tp.lower), ("upper", tp.upper))]
     ests = [estimate_p_t(replace(base, power_s=float(ps)),
                          _sim_cfg(args, replications=4, slots=60, seed_index=i))
             for i, ps in enumerate(grid)]
     files.append(_curve(out_dir, "fig5_pt_sim.csv", hdr,
                         ("power_s", "estimate", "half_width", "n_samples"), grid,
-                        map(_est_columns, ests)))
+                        zip(*map(_est_columns, ests))))
     return files
 
 
 def _pt_curves(out_dir, figure, prefix, base, field, column, grid) -> list[str]:
     """p_t against ``field`` over ``grid``, one file per charging regime:
     power_s 0.1 (label m1) and 0.2 (m2)."""
-    return [_curve(out_dir, f"{prefix}_{label}.csv",
-                   _headers(f"figure {figure} ({label})", replace(base, power_s=ps)),
-                   (column, "m_slots", "p_t_exact", "p_t_lower", "p_t_upper"), grid,
-                   [_pt_columns(transmission_probability(
-                       replace(base, **{field: float(v)}, power_s=ps)))
-                    for v in grid])
-            for label, ps in (("m1", 0.1), ("m2", 0.2))]
+    files = []
+    for label, ps in (("m1", 0.1), ("m2", 0.2)):
+        tp = transmission_probability(_table(replace(base, power_s=ps), {field: grid}))
+        files.append(_curve(out_dir, f"{prefix}_{label}.csv",
+                            _headers(f"figure {figure} ({label})", replace(base, power_s=ps)),
+                            (column, "m_slots", "p_t_exact", "p_t_lower", "p_t_upper"), grid,
+                            [tp.m_slots, tp.value, tp.lower, tp.upper]))
+    return files
 
 
 def _figure_6(args, out_dir) -> list[str]:
@@ -347,7 +378,7 @@ def _figure_8(args, out_dir) -> list[str]:
                    replications=cfg.n_replications, slots=cfg.n_slots)
     qs, exact, approx = _cdf(base, cfg)
     return [_curve(out_dir, "fig8_interference_cdf.csv", hdr, CDF_COLUMNS, qs,
-                   zip(exact, approx))]
+                   [exact, approx])]
 
 
 def _outage_study(args, out_dir, figure, base, column, grid, fields, simulate) -> list[str]:
@@ -357,23 +388,19 @@ def _outage_study(args, out_dir, figure, base, column, grid, fields, simulate) -
     ``simulate(side, k)`` returns the k-th side's estimates, one per grid
     value."""
     hdr = _headers(f"figure {figure}", base, seed=args.seed)
-    prim, sec = [], []
-    for v in grid:
-        p = replace(base, **dict.fromkeys(fields, float(v)))
-        active = transmission_probability(p).conservative * p.lambda_s
-        prim.append([outage_primary(p, active).probability])
-        out = outage_secondary(p, active)
-        sec.append([out.probability, int(out.clamped)])
+    table = _table(base, dict.fromkeys(fields, grid))
+    active = transmission_probability(table).conservative * table.lambda_s
+    sec = outage_secondary(table, active)
     files = [
         _curve(out_dir, f"fig{figure}_outage_primary_analytic.csv", hdr,
-               (column, "outage"), grid, prim),
+               (column, "outage"), grid, [outage_primary(table, active).probability]),
         _curve(out_dir, f"fig{figure}_outage_secondary_analytic.csv", hdr,
-               (column, "outage", "clamped"), grid, sec),
+               (column, "outage", "clamped"), grid, [sec.probability, sec.clamped.astype(int)]),
     ]
     for k, side in enumerate(("primary", "secondary")):
         files.append(_curve(out_dir, f"fig{figure}_outage_{side}_sim.csv", hdr,
                             (column, "estimate", "half_width", "n_samples"), grid,
-                            map(_est_columns, simulate(side, k))))
+                            zip(*map(_est_columns, simulate(side, k)))))
     return files
 
 
@@ -401,19 +428,15 @@ def _figure_10(args, out_dir) -> list[str]:
 
 
 def _optimum_curves(args, out_dir, prefix, field, grid):
+    """The P1 optimum's ``field`` against lambda_p over ``grid``, one file per
+    primary budget; infeasible points are empty."""
     base = _study_params(r_g=3.0, r_h=1.0, power_p=2.0, eps_s=0.3)
-
-    def optimum(p):
-        try:
-            return getattr(solve_p1_closed_form(p), field)
-        except InfeasibleError:
-            return float("nan")
     return [_curve(out_dir, f"{prefix}_eps{eps:g}.csv",
                    _headers(f"{prefix} (eps_p={eps:g})", replace(base, eps_p=eps),
                             seed=args.seed),
                    ("lambda_p", field), grid,
-                   [[optimum(replace(base, lambda_p_total=float(lam), eps_p=eps))]
-                    for lam in grid])
+                   [getattr(solve_p1_closed_form(
+                       _table(replace(base, eps_p=eps), {"lambda_p_total": grid})), field)])
             for eps in (0.1, 0.2, 0.3)]
 
 

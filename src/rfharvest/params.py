@@ -2,14 +2,30 @@
 
 All quantities are linear-scale in consistent abstract units (no dB, no
 meters); a slot has unit duration, so per-slot energy and power coincide.
+
+A *table* is a :class:`NetworkParams` whose every field is a float64 column
+of one length, one parameter set per row; the closed forms here and in
+:mod:`rfharvest.analytics` and :mod:`rfharvest.optimize` evaluate a whole
+table at once, and a single parameter set as a one-row table.  Each row's
+values equal those of the row's own scalar evaluation bit for bit:
+``+ - * /`` keep the scalar expression's order, and every other function is
+the ``math`` module's, mapped over the rows (numpy's vectorised ``exp`` and
+``power`` may differ from libm in the last bit).  A check that fails raises
+for the first failing row, and the exception's ``row`` attribute holds that
+row.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import itertools
 import json
 import math
 import warnings
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+
+import numpy as np
 
 __all__ = [
     "NetworkParams",
@@ -93,62 +109,190 @@ class ChargingGeometry:
     m_slots is the worst-case number of harvesting slots needed to fill the
     battery.  h1 (defined for m_slots >= 2) is the radius inside which one
     slot fills the battery; h2 (defined for m_slots >= 3) the radius inside
-    which one slot provides at least half the capacity.
+    which one slot provides at least half the capacity.  For a table,
+    m_slots is a column of Python ints (it can exceed int64) and an
+    undefined radius is NaN.
     """
 
     m_slots: int
     h1: float | None = None
     h2: float | None = None
 
+    _NAN_IS_NONE = ("h1", "h2")
+
+
+# -- tables ----------------------------------------------------------------------
+
+
+def _is_table(x) -> bool:
+    """Whether ``x`` is a column or a dataclass that holds columns."""
+    if isinstance(x, np.ndarray):
+        return True
+    return is_dataclass(x) and any(isinstance(v, np.ndarray) for v in vars(x).values())
+
+
+def _one_row(x):
+    """``x`` as a one-row table: numbers become float64 columns, except the
+    int fields of a result (m_slots), which become object columns, and a
+    None field NaN."""
+    if x is None:
+        return None
+    if isinstance(x, NetworkParams):
+        return NetworkParams(**{f: np.array([float(getattr(x, f))]) for f in _FIELDS})
+    if is_dataclass(x):
+        return replace(x, **{
+            f.name: np.array([math.nan if v is None else v],
+                             dtype=object if isinstance(v, int) else float)
+            for f in fields(x) for v in [getattr(x, f.name)]})
+    return np.array([x], dtype=float)
+
+
+def _scalar(x):
+    """The value of a one-row result as a scalar evaluation returns it: each
+    column its single value, and NaN None in the fields a dataclass lists
+    in ``_NAN_IS_NONE``."""
+    if isinstance(x, np.ndarray):
+        v = x[0]
+        return v.item() if isinstance(v, np.generic) else v
+    if isinstance(x, tuple):
+        return tuple(map(_scalar, x))
+    if is_dataclass(x):
+        values = {f.name: _scalar(getattr(x, f.name)) for f in fields(x)}
+        for name in getattr(x, "_NAN_IS_NONE", ()):
+            if math.isnan(values[name]):
+                values[name] = None
+        return replace(x, **values)
+    return x
+
+
+def _rowwise(fn):
+    """Let a closed form written for tables take one parameter set: the
+    arguments become a one-row table, and the result takes the scalar form."""
+    @functools.wraps(fn)
+    def call(*args):
+        if any(map(_is_table, args)):
+            return fn(*args)
+        return _scalar(fn(*map(_one_row, args)))
+    return call
+
+
+def _take(table, rows):
+    """The rows ``rows`` (a slice, mask or index array) of a table."""
+    return replace(table, **{f.name: getattr(table, f.name)[rows] for f in fields(table)})
+
+
+@contextlib.contextmanager
+def _rows_of(rows):
+    """Within: a row error raised on the sub-table ``_take(table, rows)``, with
+    ``rows`` an index array, names its row of ``table``."""
+    try:
+        yield
+    except ValueError as exc:
+        if hasattr(exc, "row"):
+            exc.row = int(rows[exc.row])
+        raise
+
+
+def _row(table, i: int) -> NetworkParams:
+    """Row ``i`` of a table as a parameter set of Python floats."""
+    return NetworkParams(**{f: getattr(table, f).item(i) for f in _FIELDS})
+
+
+def _each(fn, *args, dtype=float):
+    """``fn`` of each row of the column arguments, floats broadcast, as a column.
+
+    ``fn`` is a scalar function such as ``math.exp`` or ``pow``, so each
+    value is the one a scalar evaluation computes.  When every column of
+    several rows holds one value, bit for bit, ``fn`` runs once.  Without
+    column arguments this is ``fn(*args)``.
+    """
+    cols = [a for a in args if isinstance(a, np.ndarray)]
+    if not cols:
+        return fn(*args)
+    n = len(cols[0])
+    if n > 1 and all((c.view(np.int64) == c.view(np.int64)[0]).all() for c in cols):
+        return np.full(n, fn(*(a.item(0) if isinstance(a, np.ndarray) else a for a in args)),
+                       dtype)
+    rows = [a.tolist() if isinstance(a, np.ndarray) else itertools.repeat(a, n) for a in args]
+    return np.fromiter(map(fn, *rows), dtype, count=n)
+
+
+def _pow(x, y):
+    return _each(pow, x, y)
+
+
+def _fail(bad, error) -> None:
+    """Raise ``error(k)`` for the first row k where ``bad`` holds, with
+    ``row`` = k on the exception."""
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        exc = error(k)
+        exc.row = k
+        raise exc
+
+
+def _at(v, k: int):
+    """Row k of a column as a Python value; a scalar stands for every row."""
+    return v.item(k) if isinstance(v, np.ndarray) else v
+
 
 def _finite(x) -> bool:
     return isinstance(x, (int, float)) and math.isfinite(x)
+
+
+def _number(v):
+    """A column as it is; a scalar as a float, NaN if it is not a finite number."""
+    if isinstance(v, np.ndarray):
+        return v
+    return float(v) if _finite(v) else math.nan
 
 
 def validate(params: NetworkParams, *, warn: bool = True) -> NetworkParams:
     """Check every parameter invariant, raising ParameterError on failure.
 
     Collects one diagnostic per violated invariant instead of stopping at
-    the first.  Separation-of-scales assumptions (d_p << r_g,
-    lambda_p_total << lambda_s, power_p >> power_s, pi r_h^2 lambda_p << 1)
-    are only warnings so that exploratory sweeps are not blocked.
+    the first; for a table, those of the first row that violates any.
+    Separation-of-scales assumptions (d_p << r_g, lambda_p_total <<
+    lambda_s, power_p >> power_s, pi r_h^2 lambda_p << 1) are only warnings
+    so that exploratory sweeps are not blocked.
 
     Returns the parameters unchanged when everything holds.
     """
     p = params
-    problems = []
+    v = {f: _number(getattr(p, f)) for f in _FIELDS}
+    fin = {f: np.isfinite(x) for f, x in v.items()}
+    checks = []  # (rows violating, diagnostic for row k), in report order
+
+    def check(bad, message):
+        checks.append((bad, message))
 
     for name in ("lambda_p_total", "lambda_s", "power_p", "power_s",
                  "r_g", "r_h", "d_p", "d_s", "noise"):
-        v = getattr(p, name)
-        if not _finite(v) or v < 0:
-            problems.append(f"{name} must be finite and non-negative, got {v!r}")
+        check(~(fin[name] & (v[name] >= 0)), lambda k, name=name: (
+            f"{name} must be finite and non-negative, got {_at(getattr(p, name), k)!r}"))
 
-    if not _finite(p.access_prob) or not 0.0 <= p.access_prob <= 1.0:
-        problems.append(f"access_prob must lie in [0, 1], got {p.access_prob!r}")
-    if not _finite(p.alpha) or p.alpha <= 2:
-        problems.append("alpha must exceed 2")
-    if not _finite(p.eta) or not 0.0 < p.eta < 1.0:
-        problems.append(f"eta must lie in (0, 1), got {p.eta!r}")
+    check(~(fin["access_prob"] & (v["access_prob"] >= 0.0) & (v["access_prob"] <= 1.0)),
+          lambda k: f"access_prob must lie in [0, 1], got {_at(p.access_prob, k)!r}")
+    check(~(fin["alpha"] & (v["alpha"] > 2)), lambda k: "alpha must exceed 2")
+    check(~(fin["eta"] & (v["eta"] > 0.0) & (v["eta"] < 1.0)),
+          lambda k: f"eta must lie in (0, 1), got {_at(p.eta, k)!r}")
     for name in ("theta_p", "theta_s"):
-        v = getattr(p, name)
-        if not _finite(v) or v <= 0:
-            problems.append(f"{name} must be positive, got {v!r}")
+        check(~(fin[name] & (v[name] > 0)),
+              lambda k, name=name: f"{name} must be positive, got {_at(getattr(p, name), k)!r}")
     for name in ("eps_p", "eps_s"):
-        v = getattr(p, name)
-        if not _finite(v) or not 0.0 < v < 1.0:
-            problems.append(f"{name} must lie in (0, 1), got {v!r}")
+        check(~(fin[name] & (v[name] > 0.0) & (v[name] < 1.0)),
+              lambda k, name=name: f"{name} must lie in (0, 1), got {_at(getattr(p, name), k)!r}")
 
-    if _finite(p.r_g) and p.r_g > 0:
-        if _finite(p.r_h) and p.r_h >= p.r_g:
-            problems.append(
-                f"harvesting radius r_h={p.r_h!r} must be smaller than guard radius r_g={p.r_g!r}")
-        if _finite(p.d_p) and p.d_p >= p.r_g:
-            problems.append(
-                f"primary link distance d_p={p.d_p!r} must be smaller than r_g={p.r_g!r}")
+    guarded = fin["r_g"] & (v["r_g"] > 0)
+    check(guarded & fin["r_h"] & (v["r_h"] >= v["r_g"]), lambda k: (
+        f"harvesting radius r_h={_at(p.r_h, k)!r} must be smaller than "
+        f"guard radius r_g={_at(p.r_g, k)!r}"))
+    check(guarded & fin["d_p"] & (v["d_p"] >= v["r_g"]), lambda k: (
+        f"primary link distance d_p={_at(p.d_p, k)!r} must be smaller than "
+        f"r_g={_at(p.r_g, k)!r}"))
 
-    if problems:
-        raise ParameterError(problems)
+    bad = functools.reduce(np.logical_or, (b for b, _ in checks))
+    _fail(bad, lambda k: ParameterError([message(k) for b, message in checks if _at(b, k)]))
 
     if warn:
         _warn_regime(p)
@@ -156,22 +300,23 @@ def validate(params: NetworkParams, *, warn: bool = True) -> NetworkParams:
 
 
 def _warn_regime(p: NetworkParams) -> None:
-    checks = []
-    if p.r_g > 0:
-        checks.append(("d_p", p.d_p, "r_g", p.r_g))
-    if p.lambda_s > 0:
-        checks.append(("lambda_p_total", p.lambda_p_total, "lambda_s", p.lambda_s))
-    if p.power_p > 0:
-        checks.append(("power_s", p.power_s, "power_p", p.power_p))
-    checks.append(("pi*r_h^2*lambda_p", math.pi * p.r_h**2 * p.lambda_p, "unity", 1.0))
-    for small_name, small, large_name, large in checks:
-        if small > REGIME_RATIO * large:
+    """Warn once per stretched assumption, quoting the first row that stretches it."""
+    checks = [("d_p", p.d_p, "r_g", p.r_g, p.r_g > 0),
+              ("lambda_p_total", p.lambda_p_total, "lambda_s", p.lambda_s, p.lambda_s > 0),
+              ("power_s", p.power_s, "power_p", p.power_p, p.power_p > 0),
+              ("pi*r_h^2*lambda_p", math.pi * p.r_h**2 * p.lambda_p, "unity", 1.0, True)]
+    for small_name, small, large_name, large, applies in checks:
+        stretched = applies & (small > REGIME_RATIO * large)
+        if np.any(stretched):
+            k = int(np.argmax(stretched))
             warnings.warn(
-                f"{small_name}={small:g} is not much smaller than {large_name} ({large:g}); "
+                f"{small_name}={_at(small, k):g} is not much smaller than "
+                f"{large_name} ({_at(large, k):g}); "
                 "analytic approximations assume clear separation",
                 RegimeWarning, stacklevel=3)
 
 
+@_rowwise
 def charging_geometry(params: NetworkParams) -> ChargingGeometry:
     """Slot count and zone radii implied by the charging threshold.
 
@@ -182,24 +327,26 @@ def charging_geometry(params: NetworkParams) -> ChargingGeometry:
     absorbs float noise at the boundaries.
     """
     p = params
-    if p.power_s <= 0:
-        raise ParameterError(["ST power must be positive"])
-    if p.r_h <= 0:
-        raise ParameterError(["r_h must be positive to define charging geometry"])
-    threshold = p.eta * p.power_p * p.r_h ** -p.alpha
-    if threshold <= 0:
-        raise ParameterError(["per-slot harvest is zero; power_p and eta must be positive"])
-    m = max(1, math.ceil((p.power_s / threshold) * (1.0 - 1e-12)))
-    h1 = h2 = None
-    if m >= 2:
-        h1 = (p.power_s / (p.eta * p.power_p)) ** (-1.0 / p.alpha)
-    if m >= 3:
-        h2 = (p.power_s / (2.0 * p.eta * p.power_p)) ** (-1.0 / p.alpha)
-    radii = [r for r in (h1, h2, p.r_h) if r is not None]
-    if any(a >= b for a, b in zip(radii, radii[1:])):
-        raise ParameterError([
-            f"charging radii {radii} (h1, h2 if m >= 3, r_h) must increase; "
-            f"power_s={p.power_s!r} is too close to a charging threshold at alpha={p.alpha!r}"])
+    _fail(p.power_s <= 0, lambda k: ParameterError(["ST power must be positive"]))
+    _fail(p.r_h <= 0, lambda k: ParameterError(
+        ["r_h must be positive to define charging geometry"]))
+    threshold = p.eta * p.power_p * _pow(p.r_h, -p.alpha)
+    _fail(threshold <= 0, lambda k: ParameterError(
+        ["per-slot harvest is zero; power_p and eta must be positive"]))
+    m = _each(lambda x: max(1, math.ceil(x)), (p.power_s / threshold) * (1.0 - 1e-12),
+              dtype=object)
+    two, three = m >= 2, m >= 3
+    h1 = np.where(two, _pow(p.power_s / (p.eta * p.power_p), -1.0 / p.alpha), np.nan)
+    h2 = np.where(three, _pow(p.power_s / (2.0 * p.eta * p.power_p), -1.0 / p.alpha), np.nan)
+
+    def radii(k):
+        return [r for r in (h1.item(k), h2.item(k), p.r_h.item(k)) if not math.isnan(r)]
+    # (h1, h2 if m >= 3, r_h) must increase
+    _fail(two & (h1 >= np.where(three, h2, p.r_h)) | three & (h2 >= p.r_h),
+          lambda k: ParameterError([
+              f"charging radii {radii(k)} (h1, h2 if m >= 3, r_h) must increase; "
+              f"power_s={p.power_s.item(k)!r} is too close to a charging threshold "
+              f"at alpha={p.alpha.item(k)!r}"]))
     return ChargingGeometry(m_slots=m, h1=h1, h2=h2)
 
 

@@ -301,6 +301,11 @@ class SlotSimulator:
 # replication; wider windows run one replication per batch.
 _BATCH_SECONDARIES = 2 ** 17
 
+# Most slots (warm-up plus measured) one replication may run.  The default
+# warm-up grows with m_slots, which can exceed 1e25 at large transmit
+# powers; such a run would never end, so it is refused.
+MAX_REPLICATION_SLOTS = 2 ** 31
+
 
 def _rep_rngs(config: SimConfig) -> list[np.random.Generator]:
     seeds = np.random.SeedSequence(config.master_seed).spawn(config.n_replications)
@@ -321,7 +326,12 @@ def _measured_slots(params: NetworkParams, config: SimConfig, measure, **sim_kwa
     the next one is built, which a generator could not ensure: its caller
     would hold the last batch while the next one runs.
     """
-    warmup = config.resolved_warmup(charging_geometry(params).m_slots)
+    m = charging_geometry(params).m_slots
+    warmup = config.resolved_warmup(m)
+    if warmup + config.n_slots > MAX_REPLICATION_SLOTS:
+        raise ValueError(
+            f"a replication would run {warmup} warm-up slots (m_slots = {m}) plus "
+            f"{config.n_slots} measured slots, over the limit of {MAX_REPLICATION_SLOTS}")
     rngs = _rep_rngs(config)
     expected = params.lambda_s * config.resolved_window(params) ** 2
     size = max(1, int(_BATCH_SECONDARIES / max(expected, 1.0)))

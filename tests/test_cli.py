@@ -91,6 +91,42 @@ def test_analyze_unknown_sweep_parameter_fails(config_path, tmp_path, capsys):
     assert "bandwidth" in capsys.readouterr().err
 
 
+EXAMPLE = str(ROOT / "configs" / "example.json")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--sweep", "r_h=0.5:3.5:4"],
+     "harvesting radius r_h=3.5 must be smaller than guard radius r_g=3.0"),
+    (["optimize", "--sweep", "r_g=0:3:3", "--sweep", "noise=0:0.1:2"],
+     "the dedicated-charger optimum is derived for zero noise"),
+    # a row that fails its solve comes before a row that fails validation ...
+    (["optimize", "--sweep", "eps_s=0.3:1:2", "--sweep", "noise=0:0.1:2",
+      "--sweep", "r_g=0:6:2"],
+     "the dedicated-charger optimum is derived for zero noise"),
+    # ... and after it
+    (["optimize", "--sweep", "noise=0:0.1:2", "--sweep", "eps_s=0.3:1:2",
+      "--sweep", "r_g=0:6:2"],
+     "eps_s must lie in (0, 1), got 1.0"),
+], ids=["analyze-validation", "optimize-p2-noise", "solve-row-first", "invalid-row-first"])
+def test_sweep_reports_first_failing_row(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.csv"
+    rc = main(argv[:1] + ["--config", EXAMPLE, "--out", str(out)] + argv[1:])
+    assert rc == 2
+    assert capsys.readouterr().err == f"rfharvest: error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("link", ["d_p", "d_s"])
+def test_optimize_zero_link_distance_fails_cleanly(tmp_path, capsys, link):
+    out = tmp_path / "x.csv"
+    rc = main(["optimize", "--config", EXAMPLE, "--out", str(out),
+               "--sweep", f"{link}=0:0.5:2", "--sweep", "noise=0:0.1:2"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "rfharvest: error: the throughput optimum needs positive d_p and d_s\n")
+    assert not out.exists()
+
+
 def test_malformed_config_fails(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -176,6 +212,20 @@ def test_simulate_oversized_window_fails_cleanly(config_path, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("rfharvest: error: Unable to allocate") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["p_t", "outage-secondary"])
+def test_simulate_refuses_runaway_warmup(tmp_path, capsys, target):
+    # m_slots reaches 5e24 here, and the default warm-up is 10 m_slots slots
+    out = tmp_path / "x.csv"
+    rc = main(["simulate", "--config", EXAMPLE, "--out", str(out), "--target", target,
+               "--sweep", "power_s=1e24:1e25:2", "--replications", "1", "--slots", "2",
+               "--window", "60"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rfharvest: error: a replication would run ")
+    assert "warm-up slots (m_slots = " in err and "over the limit of 2147483648" in err
     assert not out.exists()
 
 

@@ -41,6 +41,20 @@ CASES = {
                   "--sweep", "noise=0:0.5:3"], "file"),
     # r_g = 0 is the dedicated-charger problem P2; 1.5 and 3 are P1
     "optimize_p2": (["optimize", "--sweep", "r_g=0:3:3"], "file"),
+    # m_slots 1 to 5, with lambda_p = 0 rows
+    "analyze_regimes": (["analyze", "--sweep", "power_s=0.05:0.95:7",
+                         "--sweep", "lambda_p_total=0:0.05:3"], "file"),
+    # m_slots far beyond int64
+    "analyze_huge_m": (["analyze", "--sweep", "power_s=1:1e25:3:log"], "file"),
+    # a phi and guard-hole memo entry per alpha, and d_s = 0
+    "analyze_alpha": (["analyze", "--sweep", "alpha=2.2:8:4", "--sweep", "d_s=0:2.5:3"],
+                      "file"),
+    # both P1 solvers, infeasible rows at both edges
+    "optimize_edges": (["optimize", "--sweep", "eps_p=0.01:0.6:5",
+                        "--sweep", "noise=0:0.2:3"], "file"),
+    # lambda_p = 0: no chargers, so lambda_s_star is inf
+    "optimize_no_chargers": (["optimize", "--sweep", "lambda_p_total=0:0.03:3",
+                              "--sweep", "noise=0:0.2:2"], "file"),
     **{f"figure{i}": (["figure", "--id", str(i)] + FIGURE, "dir") for i in range(5, 14)},
 }
 
