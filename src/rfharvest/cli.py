@@ -22,8 +22,8 @@ from . import __version__
 from .analytics import (outage_primary, outage_secondary, transmission_probability,
                         zone_probabilities)
 from .optimize import InfeasibleError, solve, solve_p1_closed_form
-from .params import (NetworkParams, ParameterError, _row, _take, charging_geometry,
-                     load_params, params_to_dict, validate)
+from .params import (NetworkParams, ParameterError, _distinct, _row, _take,
+                     charging_geometry, load_params, params_to_dict, validate)
 from .sim import (ConditioningTooRareError, SimConfig, estimate_outage, estimate_p_t,
                   interference_samples, outage_curve)
 
@@ -122,12 +122,37 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _percent(spec: str, values: list) -> list[str]:
+    """``[spec % v for v in values]``, by one C-level %-format."""
+    texts = ((spec + "\n") * len(values) % tuple(values)).split("\n")
+    texts.pop()
+    return texts
+
+
 def _fmt_column(values) -> list[str]:
-    """Each value formatted as :func:`_fmt` formats it."""
+    """Each value formatted as :func:`_fmt` formats it.
+
+    Each distinct value is converted to text once, and the texts are
+    gathered back to the rows: in a float64 or integer column, values are
+    distinct by bit pattern (``params._distinct``); ``"%.12g" % x`` equals
+    ``format(x, ".12g")``.  A column of Python ints (``m_slots``) is
+    deduplicated by value, as equal ints print alike.
+    """
     if isinstance(values, np.ndarray):
-        if values.dtype == np.float64:
-            return ["" if v != v else format(v, ".12g") for v in values.tolist()]
+        if values.dtype.kind == "U":
+            return values.tolist()
+        if values.dtype == np.float64 or values.dtype.kind in "iu":
+            codes = _distinct([values])
+            distinct = values if codes is None else values[codes[0]]
+            is_float = values.dtype == np.float64
+            texts = _percent("%.12g" if is_float else "%d", distinct.tolist())
+            if is_float and np.isnan(distinct).any():
+                texts = ["" if t == "nan" else t for t in texts]
+            return texts if codes is None else list(map(texts.__getitem__, codes[1].tolist()))
         values = values.tolist()
+    if all(type(v) is int for v in values):
+        distinct = list(set(values))
+        return list(map(dict(zip(distinct, _percent("%d", distinct))).__getitem__, values))
     return [_fmt(v) for v in values]
 
 

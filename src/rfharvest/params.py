@@ -9,10 +9,14 @@ of one length, one parameter set per row; the closed forms here and in
 table at once, and a single parameter set as a one-row table.  Each row's
 values equal those of the row's own scalar evaluation bit for bit:
 ``+ - * /`` keep the scalar expression's order, and every other function is
-the ``math`` module's, mapped over the rows (numpy's vectorised ``exp`` and
-``power`` may differ from libm in the last bit).  A check that fails raises
-for the first failing row, and the exception's ``row`` attribute holds that
-row.
+the ``math`` module's (numpy's vectorised ``exp`` and ``power`` may differ
+from libm in the last bit, so the closed forms call none of numpy's
+transcendental functions).  Such a function's value depends only on the bit
+patterns of its arguments, so :func:`_each` calls it once per distinct row
+of them, keyed on int64 views of the floats (never on float equality, which
+merges ``-0.0`` with ``0.0``), and gathers the values back to the rows; a
+sweep grid repeats most arguments many times.  A check that fails raises for
+the first failing row, and the exception's ``row`` attribute holds that row.
 """
 
 from __future__ import annotations
@@ -198,23 +202,103 @@ def _row(table, i: int) -> NetworkParams:
     return NetworkParams(**{f: getattr(table, f).item(i) for f in _FIELDS})
 
 
+def _dense(key):
+    """(first, inverse) of an integer column: ``first`` holds one row of each
+    distinct value, in increasing order of value, and row i holds the value
+    of row ``first[inverse[i]]``."""
+    order = np.argsort(key)
+    s = key[order]
+    new = np.empty(len(s), bool)
+    new[:1] = True
+    np.not_equal(s[1:], s[:-1], out=new[1:])
+    inverse = np.empty(len(s), np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
+def _bits(c):
+    """A float64 column as its int64 bit patterns; an integer column as it is."""
+    return c.view(np.int64) if c.dtype == np.float64 else c
+
+
+def _uniform(c) -> bool:
+    """Whether every row of a column holds the bit pattern of its first row."""
+    k = _bits(c)
+    return bool((k == k[0]).all())
+
+
+def _distinct(cols):
+    """(first, inverse) of the rows of equal-length float64 or integer
+    columns: ``first`` holds one row of each distinct row, and row i equals
+    row ``first[inverse[i]]``.  None for fewer than 256 rows, or when a
+    column holds more distinct values than half its rows: the sorts' fixed
+    cost, or the gather back to the rows, then exceeds what the repeats
+    save.
+
+    Floats are compared by their int64 bit patterns, never by float
+    equality, so ``-0.0`` and ``0.0`` are different rows and so are NaNs
+    with different payloads.  Only the first row of each run of equal rows
+    is sorted; each column is reduced to codes on its own, a column of one
+    bit pattern costing no sort, and the codes of the columns are combined.
+    """
+    n = len(cols[0])
+    if n < 256:
+        return None
+    keys = [_bits(c) for c in cols]
+    new = np.ones(n, bool)
+    np.logical_or.reduce([k[1:] != k[:-1] for k in keys], out=new[1:])
+    heads = np.flatnonzero(new)
+    if len(heads) < n:
+        keys = [k[heads] for k in keys]
+    first, inverse = np.zeros(1, np.intp), np.zeros(len(heads), np.intp)
+    for k in keys:
+        if _uniform(k):
+            continue
+        s = np.sort(k)  # far cheaper than the argsort of _dense
+        if np.count_nonzero(s[1:] != s[:-1]) >= n // 2:
+            return None
+        first_k, inverse_k = _dense(k)
+        if len(first) == 1:
+            first, inverse = first_k, inverse_k
+        else:
+            first, inverse = _dense(inverse * len(first_k) + inverse_k)
+    if len(heads) < n:
+        return heads[first], np.repeat(inverse, np.diff(heads, append=n))
+    return first, inverse
+
+
 def _each(fn, *args, dtype=float):
     """``fn`` of each row of the column arguments, floats broadcast, as a column.
 
     ``fn`` is a scalar function such as ``math.exp`` or ``pow``, so each
-    value is the one a scalar evaluation computes.  When every column of
-    several rows holds one value, bit for bit, ``fn`` runs once.  Without
-    column arguments this is ``fn(*args)``.
+    value is the one a scalar evaluation computes.  A row's value depends
+    only on its arguments' bit patterns, so ``fn`` runs once per distinct
+    row of them (:func:`_distinct`) and its values are gathered back to the
+    rows, which equals a map over the rows bit for bit; a column of one bit
+    pattern stands for its value, so when every column is one, ``fn`` runs
+    once.  Where :func:`_distinct` declines (a short table, or a column
+    that seldom repeats), and for a one-row table or a column that is not
+    float64, ``fn`` is mapped over the rows.  Without column arguments this
+    is ``fn(*args)``.
     """
     cols = [a for a in args if isinstance(a, np.ndarray)]
     if not cols:
         return fn(*args)
     n = len(cols[0])
-    if n > 1 and all((c.view(np.int64) == c.view(np.int64)[0]).all() for c in cols):
-        return np.full(n, fn(*(a.item(0) if isinstance(a, np.ndarray) else a for a in args)),
-                       dtype)
+    codes = None
+    if n > 1 and all(c.dtype == np.float64 for c in cols):
+        args = [a.item(0) if isinstance(a, np.ndarray) and _uniform(a) else a for a in args]
+        cols = [a for a in args if isinstance(a, np.ndarray)]
+        if not cols:
+            return np.full(n, fn(*args), dtype)
+        codes = _distinct(cols)
+        if codes:
+            first, inverse = codes
+            args = [a[first] if isinstance(a, np.ndarray) else a for a in args]
+            n = len(first)
     rows = [a.tolist() if isinstance(a, np.ndarray) else itertools.repeat(a, n) for a in args]
-    return np.fromiter(map(fn, *rows), dtype, count=n)
+    values = np.fromiter(map(fn, *rows), dtype, count=n)
+    return values[inverse] if codes else values
 
 
 def _pow(x, y):

@@ -1,14 +1,16 @@
 import json
 import os
 import pathlib
+import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rfharvest import params_to_dict
-from rfharvest.cli import main, parse_sweep
+from rfharvest.cli import _CHUNK_ROWS, _fmt, _write_csv, main, parse_sweep
 
 from conftest import make_params
 
@@ -402,3 +404,64 @@ def test_traced_benchmark_session_runs(tmp_path):
     assert spans["spans"]["sim.step"]["calls"] > 0
     assert spans["spans"]["sim.step"]["errors"] == 0
     assert spans["counters"]["sim.step.pairs"] > 0
+
+
+# -- CSV writer --------------------------------------------------------------------
+
+
+def _reference_csv(header_lines, names, columns) -> str:
+    """The text the writer must produce: each value through ``_fmt``, row by row."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    lines = [f"# {line}" for line in header_lines] + [",".join(names)]
+    lines += [",".join(_fmt(v) for v in row) for row in zip(*columns)]
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_writer_matches_per_value_format(tmp_path):
+    rng = np.random.default_rng(11)
+    n = 2 * _CHUNK_ROWS + 904  # three chunks, the last one partial
+    rows = np.arange(n)
+    payload_nan = struct.unpack("<d", struct.pack("<q", 0x7FF800000000BEEF))[0]
+    special = np.array([np.nan, payload_nan, -0.0, 0.0, np.inf, -np.inf, 5e-324,
+                        2.2250738585072014e-308, 1e300, -1e300, 1e-300, 0.1, 1 / 3,
+                        123456789012.5, 1e12, 1e-5, -2.5])
+    columns = {
+        # 17 values in turn, so every value repeats across each chunk boundary
+        "special": special[rows % len(special)],
+        # runs of 1000 rows, each crossing a chunk boundary
+        "runs": np.repeat(special, 1000)[:n],
+        "distinct": rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+        "int64": np.array([0, -1, 2**63 - 1, -2**63, 7])[rows % 5],
+        "huge": np.array([49999999999950000373104640, 1, 2**64, -(2**70)] * (n // 4 + 1),
+                         dtype=object)[:n],
+        "word": np.array(["ok", "infeasible", "p1+p2", ""])[rows % 4],
+        "mixed": np.array([None, -0.0, np.nan, 3, True, "x"] * (n // 6 + 1),
+                          dtype=object)[:n],
+        "flag": rows % 3 == 0,
+        "listed": [float(v) if v % 2 else int(v) for v in rows % 11],
+    }
+    path = tmp_path / "out.csv"
+    _write_csv(path, ["a header"], list(columns), list(columns.values()))
+    got = path.read_text(encoding="utf-8")
+    want = _reference_csv(["a header"], list(columns), list(columns.values()))
+    # the first differing line, not a diff of the whole file
+    assert next(((i, g, w) for i, (g, w) in enumerate(zip(got.splitlines(),
+                                                          want.splitlines())) if g != w),
+                None) is None
+    assert got == want
+
+
+def test_csv_writer_memory_is_bounded_by_its_chunk(tmp_path):
+    # Formatting whole columns up front would grow the peak with the rows.
+    def peak(n):
+        rng = np.random.default_rng(3)
+        columns = [rng.standard_normal(n), np.repeat(rng.random(n // 100 + 1), 100)[:n],
+                   np.arange(n) % 7, np.array([2**70 + i % 3 for i in range(n)], dtype=object)]
+        tracemalloc.start()
+        try:
+            _write_csv(tmp_path / "big.csv", [], ["a", "b", "c", "d"], columns)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(200_000) <= 1.5 * peak(20_000)

@@ -14,3 +14,24 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+# numpy's SIMD versions of these may differ from libm in the last bit; the
+# closed forms take every such value from ``math`` through ``params._each``,
+# which evaluates each distinct argument once and relies on that.
+TRANSCENDENTAL = {"exp", "exp2", "expm1", "log", "log2", "log10", "log1p", "power",
+                  "float_power", "sqrt", "cbrt", "hypot", "sin", "cos", "tan", "arcsin",
+                  "arccos", "arctan", "arctan2", "sinh", "cosh", "tanh", "arcsinh",
+                  "arccosh", "arctanh"}
+
+
+@pytest.mark.parametrize("name", ["params.py", "analytics.py", "optimize.py"])
+def test_closed_forms_call_no_numpy_transcendental(name):
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"), filename=name)
+    calls = [f"{node.attr} at line {node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in TRANSCENDENTAL
+             and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
+    calls += [f"{alias.name} at line {node.lineno}" for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy")
+              for alias in node.names if alias.name in TRANSCENDENTAL]
+    assert not calls, f"{name} uses numpy transcendentals: {calls}"

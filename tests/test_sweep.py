@@ -123,3 +123,21 @@ def test_single_field_sweep_matches_per_row_reference(tmp_path, noisy_config, co
 def test_benchmark_grid_matches_per_row_reference(tmp_path, noisy_config, command, noisy,
                                                   sweeps):
     assert_matches_reference(tmp_path, command, noisy_config if noisy else EXAMPLE, sweeps)
+
+
+@pytest.mark.parametrize("command, noisy, sweeps", [
+    # three axes: slow, middle and fast columns repeat in different patterns
+    ("analyze", False, ["power_s=0.05:0.9:6", "r_h=0.5:2:5", "lambda_p_total=0.002:0.05:4"]),
+    ("optimize", True, ["theta_s=1:10:4", "lambda_p_total=0.002:0.06:6", "eps_p=0.03:0.45:5"]),
+    # a log axis
+    ("analyze", False, ["lambda_p_total=0.001:0.05:12:log", "alpha=2.5:5:5"]),
+    ("optimize", True, ["power_p=0.5:8:9:log", "eps_s=0.05:0.5:6"]),
+    # the same field swept twice: the later sweep sets both columns
+    ("analyze", False, ["power_s=0.05:0.5:4", "lambda_p_total=0.002:0.05:5",
+                        "power_s=0.1:0.9:3"]),
+    ("optimize", True, ["eps_p=0.05:0.3:3", "eps_p=0.1:0.4:7"]),
+], ids=["analyze-3d", "optimize-3d", "analyze-log", "optimize-log", "analyze-twice",
+        "optimize-twice"])
+def test_repeating_grid_matches_per_row_reference(tmp_path, noisy_config, command, noisy,
+                                                  sweeps):
+    assert_matches_reference(tmp_path, command, noisy_config if noisy else EXAMPLE, sweeps)
