@@ -41,7 +41,6 @@ __all__ = [
 ]
 
 
-@functools.lru_cache(maxsize=64)
 def phi(alpha: float) -> float:
     """Interference constant of the Rayleigh-fading shot-noise field.
 
@@ -152,7 +151,7 @@ class TransmissionProbability:
     m_slots: int
     lower: float
     upper: float
-    value: float | None = None
+    value: float | None
 
     _NAN_IS_NONE = ("value",)
 
@@ -354,13 +353,8 @@ def _annulus_nodes(m: float, h: float, knee_re: float, knee_im: float) -> int:
     return max(4, min(_HOLE_MAX_NODES, math.ceil(_HOLE_LOG_TOL / rate)))
 
 
-@functools.lru_cache(maxsize=1024)
 def _hole_integral(d: float, r_g: float, alpha: float, c: float) -> float:
-    """H: the kernel 1 / (1 + |x|^alpha / c) integrated over B(x_t, r_g), |x_t| = d.
-
-    Memoized: H depends on the geometry and c only, so a sweep over the
-    densities, probabilities or budgets evaluates it once per geometry.
-    """
+    """H: the kernel 1 / (1 + |x|^alpha / c) integrated over B(x_t, r_g), |x_t| = d."""
     if r_g < 0.0 or d < 0.0 or c < 0.0:
         raise ValueError("the guard hole needs non-negative r_g, d_s and s * power_p")
     if r_g == 0.0 or c == 0.0:

@@ -22,7 +22,7 @@ from . import __version__
 from .analytics import (outage_primary, outage_secondary, transmission_probability,
                         zone_probabilities)
 from .optimize import InfeasibleError, solve, solve_p1_closed_form
-from .params import (NetworkParams, ParameterError, _distinct, _row, _take,
+from .params import (NetworkParams, ParameterError, _distinct, _scalar, _table, _take,
                      charging_geometry, load_params, params_to_dict, validate)
 from .sim import (ConditioningTooRareError, SimConfig, estimate_outage, estimate_p_t,
                   interference_samples, outage_curve)
@@ -74,15 +74,6 @@ def parse_sweep(text: str) -> SweepSpec:
     return SweepSpec(name=name, start=start, stop=stop, n_points=n, scale=scale)
 
 
-def _table(base: NetworkParams, columns: dict) -> NetworkParams:
-    """``base`` as a table whose fields named in ``columns`` take those
-    columns, one row per entry (one row when ``columns`` is empty)."""
-    n = len(next(iter(columns.values()))) if columns else 1
-    table = {name: np.full(n, float(v)) for name, v in params_to_dict(base).items()}
-    table.update({name: np.asarray(c, dtype=float) for name, c in columns.items()})
-    return NetworkParams(**table)
-
-
 def _sweep_table(base: NetworkParams, sweeps: list[SweepSpec]) -> NetworkParams:
     """The cartesian grid of ``sweeps`` over ``base`` as a table, one row per
     point, the first sweep varying slowest; a later sweep of the same name
@@ -91,21 +82,25 @@ def _sweep_table(base: NetworkParams, sweeps: list[SweepSpec]) -> NetworkParams:
     return _table(base, {s.name: g.ravel() for s, g in zip(sweeps, grids)})
 
 
-def _first_error(table_columns, table: NetworkParams) -> list:
-    """``table_columns(table)``; when a row fails, the error of the first row
-    that fails, as evaluating the rows one by one meets it.
+def _first_error(table_columns):
+    """``table_columns``, a map from a table to its columns, made to raise,
+    when a row fails, the error of the first row that fails, as evaluating
+    the rows one by one meets it.
 
     A row error names its row k, and no row before k failed the same or an
     earlier check, but one may fail a later check: the rows before k are
-    evaluated again.
+    evaluated again.  (``simulate`` validates its whole grid before it
+    simulates a point, so it is not wrapped: a bad row fails at once.)
     """
-    try:
-        return table_columns(table)
-    except ValueError as exc:
-        row = getattr(exc, "row", 0)
-        if row:
-            _first_error(table_columns, _take(table, slice(0, row)))
-        raise
+    def columns(table: NetworkParams) -> list:
+        try:
+            return table_columns(table)
+        except ValueError as exc:
+            row = getattr(exc, "row", 0)
+            if row:
+                columns(_take(table, slice(0, row)))
+            raise
+    return columns
 
 
 def _point_seed(master_seed: int, index: int) -> int:
@@ -233,6 +228,7 @@ ANALYZE_COLUMNS = ("m_slots", "p_g", "p_h", "p_t_exact", "p_t_lower", "p_t_upper
                    "outage_s_clamped")
 
 
+@_first_error
 def _analyze_columns(table: NetworkParams) -> list:
     validate(table, warn=False)
     geom = charging_geometry(table)
@@ -247,8 +243,7 @@ def _analyze_columns(table: NetworkParams) -> list:
 
 
 def cmd_analyze(args) -> int:
-    return _write_sweep(args, "analyze", ANALYZE_COLUMNS,
-                        lambda table: _first_error(_analyze_columns, table))
+    return _write_sweep(args, "analyze", ANALYZE_COLUMNS, _analyze_columns)
 
 
 # -- simulate ------------------------------------------------------------------
@@ -286,8 +281,8 @@ def cmd_simulate(args) -> int:
         def table_columns(table):
             validate(table, warn=False)
             rows = _pooled_map(_simulate_point, [
-                (_row(table, i), replace(config, master_seed=_point_seed(args.seed, i)),
-                 args.target)
+                (_scalar(_take(table, slice(i, i + 1))),
+                 replace(config, master_seed=_point_seed(args.seed, i)), args.target)
                 for i in range(len(table.power_s))])
             return list(zip(*rows))
         return _write_sweep(args, "simulate", ("estimate", "half_width", "n_samples"),
@@ -313,6 +308,7 @@ OPTIMIZE_COLUMNS = ("status", "problem", "p_s_star", "m_at_optimum", "active_den
                     "mu_p", "mu_s", "binding")
 
 
+@_first_error
 def _optimize_columns(table: NetworkParams) -> list:
     validate(table, warn=False)
     res = solve(table)
@@ -324,8 +320,7 @@ def _optimize_columns(table: NetworkParams) -> list:
 
 
 def cmd_optimize(args) -> int:
-    return _write_sweep(args, "optimize", OPTIMIZE_COLUMNS,
-                        lambda table: _first_error(_optimize_columns, table))
+    return _write_sweep(args, "optimize", OPTIMIZE_COLUMNS, _optimize_columns)
 
 
 # -- canned studies -------------------------------------------------------------

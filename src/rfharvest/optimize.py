@@ -6,7 +6,7 @@ closed form (zero noise) or by bracketed bisection on the two transformed
 constraint curves (any noise).  Every solver also takes a table of
 parameter sets (see :mod:`rfharvest.params`) and solves its rows at once:
 the bisection steps every row in lockstep, each row to its own stopping
-test.
+test.  :func:`constraint_curves` takes one parameter set.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytics import p_guard, phi, spatial_throughput, transmission_probability
-from .params import (NetworkParams, _each, _fail, _is_table, _one_row, _pow, _rows_of,
-                     _take)
+from .params import (NetworkParams, _each, _fail, _is_table, _pow, _rows_of, _scalar,
+                     _table, _take)
 
 __all__ = [
     "OptimizationResult",
@@ -63,10 +63,12 @@ class OptimizationResult:
     throughput: float
     mu_s: float
     lambda_s_star: float
-    mu_p: float | None = None
-    lambda_s_interval: tuple[float, float] | None = None
-    m_at_optimum: int | None = None
-    binding: tuple[str, ...] = ()
+    mu_p: float | None
+    lambda_s_interval: tuple[float, float] | None
+    m_at_optimum: int | None
+    binding: tuple[str, ...]
+
+    _NAN_IS_NONE = ("mu_p",)
 
 
 def mu_primary(eps_p: float) -> float:
@@ -127,23 +129,15 @@ def constraint_curves(params: NetworkParams):
 
     f1 caps the active density so the primary outage meets eps_p
     (decreasing in power); f2 so the secondary outage meets eps_s
-    (increasing).  Their intersection is the optimum.  For a table, both
-    take and return columns.
+    (increasing).  Their intersection is the optimum.
     """
-    table = _is_table(params)
-    p = params if table else _one_row(params)
+    p = _table(params, {})
     mp, ms, _, covered = _budgets(p)
     _fail(covered, lambda k: InfeasibleError(_COVERED))
     _links(p, True, ("d_p", "d_s"))
     curves = _curves(p, mp, ms)
-
-    def curve(i):
-        def f(power_s: float) -> float:
-            v = curves(power_s)[i]
-            return v if table else v.item(0)
-        return f
-
-    return curve(0), curve(1)
+    return (lambda power_s: curves(power_s)[0].item(0),
+            lambda power_s: curves(power_s)[1].item(0))
 
 
 def _links(table: NetworkParams, rows, names: tuple[str, ...]) -> None:
@@ -173,11 +167,11 @@ def _gather(n: int, parts) -> OptimizationResult:
         binding=column(lambda r: r.binding, "", object))
 
 
-def _p1_result(table: NetworkParams, feasible, p_s_star, active, mu_p,
-               mu_s) -> OptimizationResult:
-    """The P1 optimum at (p_s_star, active) in the feasible rows of a table,
-    with the deployment density that realizes it (an interval where p_t is
-    not exact)."""
+def _optimum(table: NetworkParams, feasible, p_s_star, active, mu_p, mu_s,
+             binding: str) -> OptimizationResult:
+    """The optimum at (p_s_star, active) in the feasible rows of a table, where
+    the constraints ``binding`` bind, with the deployment density that
+    realizes it (an interval where p_t is not exact)."""
     rows = np.flatnonzero(feasible)
     with _rows_of(rows):
         tp = transmission_probability(replace(_take(table, rows), power_s=p_s_star[rows]))
@@ -190,7 +184,7 @@ def _p1_result(table: NetworkParams, feasible, p_s_star, active, mu_p,
         mu_p=mu_p[rows], mu_s=mu_s[rows], lambda_s_star=lam_star,
         lambda_s_interval=(np.where(tp.exact, np.nan, lam_star),
                            np.where(tp.exact, np.nan, lam_lower)),
-        m_at_optimum=tp.m_slots, binding=np.full(len(rows), "primary+secondary", dtype=object))
+        m_at_optimum=tp.m_slots, binding=np.full(len(rows), binding, dtype=object))
     return _gather(len(feasible), [(rows, res)])
 
 
@@ -216,7 +210,7 @@ def _closed_form_rows(table: NetworkParams):
         * _pow(ms / mp, -p.alpha / 2.0) * p.power_p
     active = ms * (mp - floor) / (_pow(p.theta_s, 2.0 / p.alpha) * _pow(p.d_s, 2) * mp
                                   * _each(phi, p.alpha))
-    return _p1_result(p, feasible, p_s_star, active, mp, ms), reasons
+    return _optimum(p, feasible, p_s_star, active, mp, ms, "primary+secondary"), reasons
 
 
 def _numeric_rows(table: NetworkParams):
@@ -252,12 +246,13 @@ def _numeric_rows(table: NetworkParams):
         run = run[hi[run] - lo[run] > BISECT_RTOL * hi[run]]
     p_s_star = 0.5 * (lo + hi)
     active = curves(p_s_star)[0]
-    return _p1_result(p, feasible, p_s_star, active, mp, ms), reasons
+    return _optimum(p, feasible, p_s_star, active, mp, ms, "primary+secondary"), reasons
 
 
 def _p2_rows(table: NetworkParams):
     """(result, reasons) as for :func:`_closed_form_rows`, for the
-    dedicated-charger problem; no row is infeasible."""
+    dedicated-charger problem; no row is infeasible.  The power fills the
+    battery in one slot (m = 1), where p_t is exact."""
     p = table
     _fail(p.r_g != 0.0, lambda k: ValueError(
         "the dedicated-charger problem has no guard zones; r_g must be 0"))
@@ -267,38 +262,26 @@ def _p2_rows(table: NetworkParams):
     mus = -_each(math.log1p, -p.eps_s)
     active = mus / (_pow(p.theta_s, 2.0 / p.alpha) * _pow(p.d_s, 2) * _each(phi, p.alpha))
     p_s_star = p.eta * p.power_p * _pow(p.r_h, -p.alpha)
-    tp = transmission_probability(replace(p, power_s=p_s_star))
-    lam_star = np.where(tp.value > 0, active / tp.value, math.inf)
     n = len(active)
-    return OptimizationResult(
-        p_s_star=p_s_star, active_density=active,
-        throughput=spatial_throughput(active, 1.0, p.theta_s),
-        mu_p=np.full(n, math.nan), mu_s=mus, lambda_s_star=lam_star,
-        lambda_s_interval=(np.full(n, math.nan), np.full(n, math.nan)),
-        m_at_optimum=tp.m_slots, binding=np.full(n, "secondary", dtype=object)), []
+    return _optimum(p, np.ones(n, dtype=bool), p_s_star, active, np.full(n, math.nan), mus,
+                    "secondary"), []
 
 
 def _solve_rows(table: NetworkParams):
-    """(result, reasons) as for :func:`_closed_form_rows`, each row by the
-    solver :func:`solve` picks for it."""
+    """(result, no reasons): each row of a table solved by the solver
+    :func:`solve` picks for it.  Only a single parameter set reads reasons,
+    and :func:`solve` hands one to its solver directly."""
     p = table
-    n = len(p.r_g)
     p2 = p.r_g == 0
     numeric = ~p2 & (p.noise > 0)
-    parts, reasons = [], []
+    parts = []
     for mask, solver in ((p2, _p2_rows), (numeric, _numeric_rows),
                          (~p2 & ~numeric, _closed_form_rows)):
         rows = np.flatnonzero(mask)
         if len(rows):
             with _rows_of(rows):
-                res, why = solver(_take(p, rows))
-            parts.append((rows, res))
-            for bad, message in why:
-                spread = np.zeros(n, dtype=bool)
-                spread[rows] = bad
-                reasons.append((spread, lambda k, m=message, rows=rows:
-                                m(int(np.searchsorted(rows, k)))))
-    return _gather(n, parts), reasons
+                parts.append((rows, solver(_take(p, rows))[0]))
+    return _gather(len(p.r_g), parts), []
 
 
 def _solved(solver, params: NetworkParams) -> OptimizationResult:
@@ -311,18 +294,13 @@ def _solved(solver, params: NetworkParams) -> OptimizationResult:
     with np.errstate(divide="ignore", invalid="ignore"):
         if _is_table(params):
             return solver(params)[0]
-        res, reasons = solver(_one_row(params))
+        res, reasons = solver(_table(params, {}))
     for bad, message in reasons:
         if bad[0]:
             raise InfeasibleError(message(0))
-    lo, hi = res.lambda_s_interval
-    mu_p = res.mu_p.item(0)
-    return OptimizationResult(
-        p_s_star=res.p_s_star.item(0), active_density=res.active_density.item(0),
-        throughput=res.throughput.item(0), mu_s=res.mu_s.item(0),
-        lambda_s_star=res.lambda_s_star.item(0), mu_p=None if math.isnan(mu_p) else mu_p,
-        lambda_s_interval=None if math.isnan(lo[0]) else (lo.item(0), hi.item(0)),
-        m_at_optimum=res.m_at_optimum[0], binding=tuple(res.binding[0].split("+")))
+    res = _scalar(res)
+    return replace(res, lambda_s_interval=None if math.isnan(res.lambda_s_interval[0])
+                   else res.lambda_s_interval, binding=tuple(res.binding.split("+")))
 
 
 def solve_p1_closed_form(params: NetworkParams) -> OptimizationResult:
@@ -356,5 +334,8 @@ def solve_p2(params: NetworkParams) -> OptimizationResult:
 def solve(params: NetworkParams) -> OptimizationResult:
     """The optimum by the solver that fits ``params``: P2 when r_g = 0 (no
     guard zones, dedicated chargers), else P1 in closed form at zero noise
-    and by bisection otherwise."""
-    return _solved(_solve_rows, params)
+    and by bisection otherwise; for a table, each row's own."""
+    if _is_table(params):
+        return _solved(_solve_rows, params)
+    p2, noisy = params.r_g == 0, params.noise > 0
+    return _solved(_p2_rows if p2 else _numeric_rows if noisy else _closed_form_rows, params)

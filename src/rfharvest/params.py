@@ -119,8 +119,8 @@ class ChargingGeometry:
     """
 
     m_slots: int
-    h1: float | None = None
-    h2: float | None = None
+    h1: float | None
+    h2: float | None
 
     _NAN_IS_NONE = ("h1", "h2")
 
@@ -135,6 +135,15 @@ def _is_table(x) -> bool:
     return is_dataclass(x) and any(isinstance(v, np.ndarray) for v in vars(x).values())
 
 
+def _table(base: NetworkParams, columns: dict) -> NetworkParams:
+    """``base`` as a table whose fields named in ``columns`` take those
+    columns, one row per entry (one row when ``columns`` is empty)."""
+    n = len(next(iter(columns.values()))) if columns else 1
+    table = {name: np.full(n, float(v)) for name, v in params_to_dict(base).items()}
+    table.update({name: np.asarray(c, dtype=float) for name, c in columns.items()})
+    return NetworkParams(**table)
+
+
 def _one_row(x):
     """``x`` as a one-row table: numbers become float64 columns, except the
     int fields of a result (m_slots), which become object columns, and a
@@ -142,7 +151,7 @@ def _one_row(x):
     if x is None:
         return None
     if isinstance(x, NetworkParams):
-        return NetworkParams(**{f: np.array([float(getattr(x, f))]) for f in _FIELDS})
+        return _table(x, {})
     if is_dataclass(x):
         return replace(x, **{
             f.name: np.array([math.nan if v is None else v],
@@ -195,11 +204,6 @@ def _rows_of(rows):
         if hasattr(exc, "row"):
             exc.row = int(rows[exc.row])
         raise
-
-
-def _row(table, i: int) -> NetworkParams:
-    """Row ``i`` of a table as a parameter set of Python floats."""
-    return NetworkParams(**{f: getattr(table, f).item(i) for f in _FIELDS})
 
 
 def _dense(key):
@@ -441,7 +445,8 @@ _REQUIRED = {f.name for f in fields(NetworkParams) if f.default is MISSING}
 def params_from_dict(data: dict, *, warn: bool = True) -> NetworkParams:
     """Build parameters from a mapping with exactly the documented keys.
 
-    Unknown keys are an error so that typos in sweep scripts fail loudly.
+    Unknown keys are an error so that typos in sweep scripts fail loudly,
+    and so is a value that is not an int or a float (a bool, a string, null).
     """
     unknown = sorted(set(data) - _FIELDS)
     if unknown:
@@ -449,7 +454,16 @@ def params_from_dict(data: dict, *, warn: bool = True) -> NetworkParams:
     missing = sorted(_REQUIRED - set(data))
     if missing:
         raise ParameterError([f"missing parameter(s): {', '.join(missing)}"])
-    return validate(NetworkParams(**{k: float(v) for k, v in data.items()}), warn=warn)
+    values = {}
+    for k, v in data.items():
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ParameterError([f"{k} must be a number, got {v!r}"])
+        try:
+            values[k] = float(v)
+        except OverflowError:  # an int beyond the float range
+            raise ParameterError([f"{k} must be a finite number, got an integer of "
+                                  f"{len(str(abs(v)))} digits"]) from None
+    return validate(NetworkParams(**values), warn=warn)
 
 
 def params_to_dict(params: NetworkParams) -> dict:

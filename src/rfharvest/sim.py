@@ -217,7 +217,6 @@ class SlotSimulator:
         # The first step redraws these chargers; dropping the draw would
         # shift every seeded stream.
         self.pt_xy, self.pt_off = self._draw(params.lambda_p)
-        self.pt_active = np.ones(len(self.pt_xy), dtype=bool)
         self._reps = np.arange(self.n_reps)
         self.dedicated_pt = None if dedicated_pt is None else np.asarray(dedicated_pt, float)
         if self.dedicated_pt is not None:
@@ -253,6 +252,11 @@ class SlotSimulator:
         """Secondaries of the whole batch."""
         return len(self.st_xy)
 
+    @property
+    def pt_active(self) -> np.ndarray:
+        """Which drawn chargers are active: every one (tracers count them)."""
+        return np.ones(len(self.pt_xy), dtype=bool)
+
     def active_pt_xy(self, r: int) -> np.ndarray:
         """Replication r's active network chargers this slot (dedicated point
         excluded)."""
@@ -267,9 +271,7 @@ class SlotSimulator:
 
     def step(self) -> None:
         p = self.params
-        # Every drawn charger is active; ``pt_active`` says so to tracers.
         self.pt_xy, self.pt_off = self._draw(p.lambda_p)
-        self.pt_active = np.ones(len(self.pt_xy), dtype=bool)
 
         sources = self.pt_xy
         source_rep = np.repeat(self._reps, np.diff(self.pt_off))

@@ -147,6 +147,20 @@ def test_unknown_config_key_fails(tmp_path, capsys):
     assert "powr_s" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [None, [1], "abc", True])
+def test_non_number_config_value_fails_cleanly(tmp_path, capsys, value):
+    bad = tmp_path / "bad.json"
+    data = params_to_dict(make_params())
+    data["lambda_s"] = value
+    bad.write_text(json.dumps(data))
+    out = tmp_path / "x.csv"
+    rc = main(["analyze", "--config", str(bad), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"rfharvest: error: lambda_s must be a number, got {value!r}\n")
+    assert not out.exists()
+
+
 def test_unresolvable_charging_radius_fails_cleanly(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(params_to_dict(make_params(

@@ -250,6 +250,20 @@ def test_solve_dispatches_on_guard_radius_and_noise():
                       (make_params(), solve_p1_closed_form),
                       (make_params(noise=1e-3), solve_p1_numeric)):
         assert solve(p) == solver(p)
+    # an infeasible point of each branch fails with that branch's own message
+    for kw, solver, message in (
+            (dict(eps_p=1e-9), solve_p1_closed_form, "interference floor"),
+            (dict(eps_p=1e-9, noise=1e-3), solve_p1_numeric, "minus noise term"),
+            (dict(power_p=2.0, eps_p=0.9, eps_s=0.01, lambda_p_total=0.02, noise=1e-6),
+             solve_p1_numeric, "do not intersect in bracket"),
+            (dict(lambda_p_total=30.0), solve_p1_closed_form, "p_g = 0"),
+            (dict(lambda_p_total=30.0, noise=1e-3), solve_p1_numeric, "p_g = 0")):
+        p = make_params(**kw)
+        with pytest.raises(InfeasibleError, match=message) as own:
+            solver(p)
+        with pytest.raises(InfeasibleError) as dispatched:
+            solve(p)
+        assert str(dispatched.value) == str(own.value)
 
 
 def test_mu_transforms():

@@ -175,6 +175,24 @@ def test_missing_key_rejected():
         params_from_dict(data)
 
 
+@pytest.mark.parametrize("value", [None, [1], "abc", "0.1", True, False, {"x": 1.0}],
+                         ids=["null", "list", "text", "numeric-text", "true", "false", "object"])
+def test_non_number_value_rejected(value):
+    data = params_to_dict(make_params())
+    data["lambda_s"] = value
+    with pytest.raises(ParameterError) as exc:
+        params_from_dict(data)
+    assert str(exc.value) == f"lambda_s must be a number, got {value!r}"
+
+
+def test_integer_beyond_float_range_rejected():
+    data = params_to_dict(make_params())
+    data["lambda_s"] = 10 ** 400
+    with pytest.raises(ParameterError, match="lambda_s must be a finite number, got an "
+                                             "integer of 401 digits"):
+        params_from_dict(data)
+
+
 def test_defaults_applied_when_omitted():
     data = params_to_dict(make_params())
     del data["access_prob"]

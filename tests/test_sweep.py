@@ -89,6 +89,15 @@ def noisy_config(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def p2_config(tmp_path):
+    data = json.loads(open(EXAMPLE, encoding="utf-8").read())
+    data["r_g"] = 0.0
+    path = tmp_path / "p2.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
 # Three valid values of each field at configs/example.json (r_g 3, r_h 1, d_p 0.5).
 FIELD_SWEEPS = {
     "lambda_p_total": "0:0.05:3", "lambda_s": "0:1:3", "power_p": "0.5:4:3",
@@ -125,19 +134,24 @@ def test_benchmark_grid_matches_per_row_reference(tmp_path, noisy_config, comman
     assert_matches_reference(tmp_path, command, noisy_config if noisy else EXAMPLE, sweeps)
 
 
-@pytest.mark.parametrize("command, noisy, sweeps", [
+@pytest.mark.parametrize("command, config, sweeps", [
     # three axes: slow, middle and fast columns repeat in different patterns
-    ("analyze", False, ["power_s=0.05:0.9:6", "r_h=0.5:2:5", "lambda_p_total=0.002:0.05:4"]),
-    ("optimize", True, ["theta_s=1:10:4", "lambda_p_total=0.002:0.06:6", "eps_p=0.03:0.45:5"]),
+    ("analyze", "example", ["power_s=0.05:0.9:6", "r_h=0.5:2:5",
+                            "lambda_p_total=0.002:0.05:4"]),
+    ("optimize", "noisy", ["theta_s=1:10:4", "lambda_p_total=0.002:0.06:6",
+                           "eps_p=0.03:0.45:5"]),
     # a log axis
-    ("analyze", False, ["lambda_p_total=0.001:0.05:12:log", "alpha=2.5:5:5"]),
-    ("optimize", True, ["power_p=0.5:8:9:log", "eps_s=0.05:0.5:6"]),
+    ("analyze", "example", ["lambda_p_total=0.001:0.05:12:log", "alpha=2.5:5:5"]),
+    ("optimize", "noisy", ["power_p=0.5:8:9:log", "eps_s=0.05:0.5:6"]),
     # the same field swept twice: the later sweep sets both columns
-    ("analyze", False, ["power_s=0.05:0.5:4", "lambda_p_total=0.002:0.05:5",
-                        "power_s=0.1:0.9:3"]),
-    ("optimize", True, ["eps_p=0.05:0.3:3", "eps_p=0.1:0.4:7"]),
+    ("analyze", "example", ["power_s=0.05:0.5:4", "lambda_p_total=0.002:0.05:5",
+                            "power_s=0.1:0.9:3"]),
+    ("optimize", "noisy", ["eps_p=0.05:0.3:3", "eps_p=0.1:0.4:7"]),
+    # every row the dedicated-charger problem P2 (r_g = 0), 300 rows
+    ("optimize", "p2", ["eps_s=0.05:0.5:15", "lambda_p_total=0.002:0.05:20"]),
 ], ids=["analyze-3d", "optimize-3d", "analyze-log", "optimize-log", "analyze-twice",
-        "optimize-twice"])
-def test_repeating_grid_matches_per_row_reference(tmp_path, noisy_config, command, noisy,
-                                                  sweeps):
-    assert_matches_reference(tmp_path, command, noisy_config if noisy else EXAMPLE, sweeps)
+        "optimize-twice", "optimize-p2"])
+def test_repeating_grid_matches_per_row_reference(tmp_path, noisy_config, p2_config, command,
+                                                  config, sweeps):
+    path = {"example": EXAMPLE, "noisy": noisy_config, "p2": p2_config}[config]
+    assert_matches_reference(tmp_path, command, path, sweeps)
