@@ -186,8 +186,11 @@ def _headers(command: str, params: NetworkParams, *, sweeps=(), seed=None,
 
 
 def _n_workers() -> int:
+    """``RFH_THREADS``, else the CPUs this process may run on."""
     env = os.environ.get("RFH_THREADS")
     if not env:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if not (env.isdecimal() and int(env) > 0):
         raise ValueError(f"RFH_THREADS must be a positive integer, got {env!r}")

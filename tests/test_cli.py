@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from rfharvest import params_to_dict
-from rfharvest.cli import _CHUNK_ROWS, _fmt, _write_csv, main, parse_sweep
+from rfharvest.cli import _CHUNK_ROWS, _fmt, _n_workers, _write_csv, main, parse_sweep
 
 from conftest import make_params
 
@@ -196,6 +196,14 @@ def test_bad_thread_count_fails_cleanly(config_path, tmp_path, capsys, monkeypat
     assert rc == 2
     assert capsys.readouterr().err == (
         f"rfharvest: error: RFH_THREADS must be a positive integer, got '{bad}'\n")
+
+
+def test_worker_count_follows_cpu_affinity(monkeypatch):
+    # a process pinned to one of many cores forks one worker, not one per core
+    monkeypatch.delenv("RFH_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert _n_workers() == 1
 
 
 def test_simulate_zero_replications_fails(config_path, tmp_path, capsys):
@@ -390,6 +398,35 @@ def test_design_point_script_runs(tmp_path, r_g):
     lines = run.stdout.splitlines()
     assert any(line.startswith("optimal transmit power") for line in lines)
     assert any(line.startswith("transmit probability") for line in lines)
+
+
+def test_simulator_never_imports_numpy_ma(config_path, tmp_path):
+    # numpy's set routines (np.unique and friends) import numpy.ma, which
+    # costs every simulating process, pool workers included, 12-15 ms: run
+    # each simulator path in a fresh interpreter and check it stayed out
+    fig, cfg = str(tmp_path / "fig"), config_path
+    tiny = ["--replications", "2", "--slots", "5", "--window", "40", "--seed", "3"]
+    commands = [
+        ["simulate", "--config", cfg, "--out", str(tmp_path / "pt.csv"), "--target", "p_t",
+         "--warmup", "5"] + tiny,
+        ["simulate", "--config", cfg, "--out", str(tmp_path / "os.csv"),
+         "--target", "outage-secondary", "--warmup", "5"] + tiny,
+        ["simulate", "--config", cfg, "--out", str(tmp_path / "i.csv"),
+         "--target", "interference", "--mode", "cluster"] + tiny,
+        ["figure", "--id", "9", "--out-dir", fig] + tiny,
+    ]
+    code = ("import json, sys\n"
+            "from rfharvest.cli import main\n"
+            f"for argv in json.loads({json.dumps(json.dumps(commands))}):\n"
+            "    assert main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n")
+    env = dict(os.environ, RFH_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 def test_traced_benchmark_session_runs(tmp_path):
