@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .analytics import (outage_primary, outage_secondary, transmission_probability,
                         zone_probabilities)
-from .optimize import InfeasibleError, solve, solve_p1_closed_form
+from .optimize import InfeasibleError, solve
 from .params import (NetworkParams, ParameterError, _distinct, _scalar, _table, _take,
                      charging_geometry, load_params, params_to_dict, validate)
 from .sim import (ConditioningTooRareError, SimConfig, estimate_outage, estimate_p_t,
@@ -65,6 +65,8 @@ def parse_sweep(text: str) -> SweepSpec:
         raise ValueError(f"unknown sweep parameter {name!r}")
     if n < 2:
         raise ValueError("sweep needs at least 2 points")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"sweep bounds must be finite, got {text!r}")
     if not start < stop:
         raise ValueError("sweep start must be below stop")
     if scale not in ("linear", "log"):
@@ -76,10 +78,13 @@ def parse_sweep(text: str) -> SweepSpec:
 
 def _sweep_table(base: NetworkParams, sweeps: list[SweepSpec]) -> NetworkParams:
     """The cartesian grid of ``sweeps`` over ``base`` as a table, one row per
-    point, the first sweep varying slowest; a later sweep of the same name
-    wins.  Not validated."""
+    point, the first sweep varying slowest.  Not validated."""
+    names = [s.name for s in sweeps]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"parameter {name!r} is swept twice")
     grids = np.meshgrid(*[s.values() for s in sweeps], indexing="ij")
-    return _table(base, {s.name: g.ravel() for s, g in zip(sweeps, grids)})
+    return _table(base, dict(zip(names, (g.ravel() for g in grids))))
 
 
 def _first_error(table_columns):
@@ -155,8 +160,8 @@ def _fmt_column(values) -> list[str]:
 _CHUNK_ROWS = 2048
 
 
-def _write_csv(path, header_lines, names, columns) -> None:
-    """Write a CSV of ``columns``, one sequence of values per name in ``names``.
+def _write_csv(path, header_lines, columns: dict) -> None:
+    """Write a CSV of ``columns``, a sequence of values per column name.
 
     Names and values are identifiers, numbers and bare words, which CSV
     never quotes, so a row is its fields joined by commas.
@@ -164,9 +169,10 @@ def _write_csv(path, header_lines, names, columns) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
-        fh.write(",".join(names) + "\n")
-        for i in range(0, len(columns[0]), _CHUNK_ROWS):
-            rows = zip(*[_fmt_column(c[i:i + _CHUNK_ROWS]) for c in columns])
+        fh.write(",".join(columns) + "\n")
+        values = list(columns.values())
+        for i in range(0, len(values[0]), _CHUNK_ROWS):
+            rows = zip(*[_fmt_column(c[i:i + _CHUNK_ROWS]) for c in values])
             fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
@@ -205,22 +211,19 @@ def _pooled_map(fn, jobs):
         return list(pool.map(fn, jobs))
 
 
-def _write_sweep(args, command, names, table_columns, **header_kw) -> int:
+def _write_sweep(args, command, table_columns, **header_kw) -> int:
     """Write one row per point of the ``--sweep`` grid over ``--config``.
 
     A row is the point's swept values followed by its entries of
     ``table_columns(table)``, which maps the grid's table, not yet
-    validated, to one sequence per column in ``names``.  Every column is
-    complete before the file is opened, so a failing point leaves no
-    partial CSV.
+    validated, to its columns by name.  Every column is complete before
+    the file is opened, so a failing point leaves no partial CSV.
     """
     base = load_params(args.config)
     sweeps = [parse_sweep(s) for s in args.sweep]
     table = _sweep_table(base, sweeps)
-    swept = [s.name for s in sweeps]
-    columns = [getattr(table, n) for n in swept] + list(table_columns(table))
-    _write_csv(args.out, _headers(command, base, sweeps=sweeps, **header_kw),
-               tuple(swept) + names, columns)
+    columns = {s.name: getattr(table, s.name) for s in sweeps} | table_columns(table)
+    _write_csv(args.out, _headers(command, base, sweeps=sweeps, **header_kw), columns)
     return 0
 
 
@@ -232,7 +235,7 @@ ANALYZE_COLUMNS = ("m_slots", "p_g", "p_h", "p_t_exact", "p_t_lower", "p_t_upper
 
 
 @_first_error
-def _analyze_columns(table: NetworkParams) -> list:
+def _analyze_columns(table: NetworkParams) -> dict:
     validate(table, warn=False)
     geom = charging_geometry(table)
     z = zone_probabilities(table, geom)
@@ -240,38 +243,47 @@ def _analyze_columns(table: NetworkParams) -> list:
     active = tp.conservative * table.lambda_s
     op = outage_primary(table, active)
     osec = outage_secondary(table, active)
-    return [geom.m_slots, z.p_g, z.p_h, tp.value, tp.lower, tp.upper,
-            active, op.tau, op.probability, osec.tau, osec.probability,
-            osec.clamped.astype(int)]
+    return dict(zip(ANALYZE_COLUMNS, (
+        geom.m_slots, z.p_g, z.p_h, tp.value, tp.lower, tp.upper, active, op.tau,
+        op.probability, osec.tau, osec.probability, osec.clamped.astype(int))))
 
 
 def cmd_analyze(args) -> int:
-    return _write_sweep(args, "analyze", ANALYZE_COLUMNS, _analyze_columns)
+    return _write_sweep(args, "analyze", _analyze_columns)
 
 
 # -- simulate ------------------------------------------------------------------
 
 
-def _est_columns(est) -> list:
-    return [est.mean, est.half_width, est.n_samples]
+def _est_columns(ests) -> dict:
+    return {"estimate": [e.mean for e in ests], "half_width": [e.half_width for e in ests],
+            "n_samples": [e.n_samples for e in ests]}
 
 
-def _simulate_point(job) -> list:
+def _simulate_point(job):
     params, config, target = job
     if target == "p_t":
-        return _est_columns(estimate_p_t(params, config))
-    return _est_columns(estimate_outage(params, config, target.removeprefix("outage-")))
+        return estimate_p_t(params, config)
+    return estimate_outage(params, config, target.removeprefix("outage-"))
 
 
-CDF_COLUMNS = ("quantile", "i_s_exact", "i_s_approx")
+def _simulated(table: NetworkParams, config: SimConfig, target: str, seed: int,
+               first: int = 0) -> dict:
+    """``target``'s estimate at each row of ``table``, the rows on the process
+    pool, row i seeded by point ``first + i`` of ``seed``."""
+    return _est_columns(_pooled_map(_simulate_point, [
+        (_scalar(_take(table, slice(i, i + 1))),
+         replace(config, master_seed=_point_seed(seed, first + i)), target)
+        for i in range(len(table.power_s))]))
 
 
-def _cdf(params: NetworkParams, config: SimConfig) -> tuple:
+def _cdf(params: NetworkParams, config: SimConfig) -> dict:
     """Matched quantile levels and sorted exact and approx interference samples."""
     exact = np.sort(interference_samples(params, config, "exact"))
     approx = np.sort(interference_samples(params, config, "approx"))
     n = min(len(exact), len(approx))
-    return np.arange(1, n + 1) / n, exact[:n], approx[:n]
+    return {"quantile": np.arange(1, n + 1) / n, "i_s_exact": exact[:n],
+            "i_s_approx": approx[:n]}
 
 
 def cmd_simulate(args) -> int:
@@ -283,13 +295,8 @@ def cmd_simulate(args) -> int:
     if args.target not in ("interference", "interference-cdf"):
         def table_columns(table):
             validate(table, warn=False)
-            rows = _pooled_map(_simulate_point, [
-                (_scalar(_take(table, slice(i, i + 1))),
-                 replace(config, master_seed=_point_seed(args.seed, i)), args.target)
-                for i in range(len(table.power_s))])
-            return list(zip(*rows))
-        return _write_sweep(args, "simulate", ("estimate", "half_width", "n_samples"),
-                            table_columns, **header_kw)
+            return _simulated(table, config, args.target, args.seed)
+        return _write_sweep(args, "simulate", table_columns, **header_kw)
 
     if args.sweep:
         raise ValueError(f"target {args.target} does not support sweeps")
@@ -297,10 +304,9 @@ def cmd_simulate(args) -> int:
     config = replace(config, master_seed=_point_seed(args.seed, 0))
     headers = _headers("simulate", base, **header_kw)
     if args.target == "interference":
-        _write_csv(args.out, headers, ("i_s",),
-                   [interference_samples(base, config, args.mode)])
+        _write_csv(args.out, headers, {"i_s": interference_samples(base, config, args.mode)})
     else:
-        _write_csv(args.out, headers, CDF_COLUMNS, _cdf(base, config))
+        _write_csv(args.out, headers, _cdf(base, config))
     return 0
 
 
@@ -312,23 +318,26 @@ OPTIMIZE_COLUMNS = ("status", "problem", "p_s_star", "m_at_optimum", "active_den
 
 
 @_first_error
-def _optimize_columns(table: NetworkParams) -> list:
+def _optimize_columns(table: NetworkParams) -> dict:
     validate(table, warn=False)
     res = solve(table)
     lo, hi = res.lambda_s_interval
-    return [np.where(res.binding == "", "infeasible", "ok"),
-            np.where(table.r_g == 0, "p2", "p1"), res.p_s_star, res.m_at_optimum,
-            res.active_density, res.lambda_s_star, lo, hi, res.throughput, res.mu_p,
-            res.mu_s, res.binding]
+    return dict(zip(OPTIMIZE_COLUMNS, (
+        np.where(res.binding == "", "infeasible", "ok"), np.where(table.r_g == 0, "p2", "p1"),
+        res.p_s_star, res.m_at_optimum, res.active_density, res.lambda_s_star, lo, hi,
+        res.throughput, res.mu_p, res.mu_s, res.binding)))
 
 
 def cmd_optimize(args) -> int:
-    return _write_sweep(args, "optimize", OPTIMIZE_COLUMNS, _optimize_columns)
+    return _write_sweep(args, "optimize", _optimize_columns)
 
 
 # -- canned studies -------------------------------------------------------------
 # Each study id reproduces one standard experiment with its conventional
 # parameter set; analytic curves always, simulated curves where they exist.
+# A study returns its curves as (file name, header, columns), reading the
+# analytic columns from analyze's or optimize's and simulating its points
+# as simulate does.
 
 def _study_params(**kw) -> NetworkParams:
     base = dict(lambda_p_total=0.01, lambda_s=0.2, power_p=2.0, power_s=0.1,
@@ -346,135 +355,111 @@ def _sim_cfg(args, *, replications, slots, seed_index=0) -> SimConfig:
         master_seed=_point_seed(args.seed, seed_index), window_side=args.window)
 
 
-def _curve(out_dir, name, header, names, grid, columns) -> str:
-    """Write one study curve to ``out_dir/name``: a row per grid value, the
-    value followed by its entries of ``columns``.  Returns the path."""
-    path = os.path.join(out_dir, name)
-    _write_csv(path, header, names, [grid, *columns])
-    return path
-
-
-def _figure_5(args, out_dir) -> list[str]:
+def _figure_5(args) -> list:
     base = _study_params(r_g=4.0, r_h=1.5, power_p=2.0)
     grid = np.linspace(0.01, 0.16, 20)
-    tp = transmission_probability(_table(base, {"power_s": grid}))
+    table = _table(base, {"power_s": grid})
+    cols = _analyze_columns(table)
     hdr = _headers("figure 5", base, seed=args.seed)
-    files = [_curve(out_dir, f"fig5_pt_{curve}.csv", hdr, ("power_s", "p_t"), grid, [p_t])
-             for curve, p_t in (("exact", tp.value), ("lower", tp.lower), ("upper", tp.upper))]
-    ests = [estimate_p_t(replace(base, power_s=float(ps)),
-                         _sim_cfg(args, replications=4, slots=60, seed_index=i))
-            for i, ps in enumerate(grid)]
-    files.append(_curve(out_dir, "fig5_pt_sim.csv", hdr,
-                        ("power_s", "estimate", "half_width", "n_samples"), grid,
-                        zip(*map(_est_columns, ests))))
-    return files
+    ests = _simulated(table, _sim_cfg(args, replications=4, slots=60), "p_t", args.seed)
+    return [(f"fig5_pt_{curve}.csv", hdr, {"power_s": grid, "p_t": cols[f"p_t_{curve}"]})
+            for curve in ("exact", "lower", "upper")] + [
+        ("fig5_pt_sim.csv", hdr, {"power_s": grid, **ests})]
 
 
-def _pt_curves(out_dir, figure, prefix, base, field, column, grid) -> list[str]:
-    """p_t against ``field`` over ``grid``, one file per charging regime:
+def _pt_curves(figure, prefix, base, field, column, grid) -> list:
+    """p_t against ``field`` over ``grid``, one curve per charging regime:
     power_s 0.1 (label m1) and 0.2 (m2)."""
-    files = []
+    curves = []
     for label, ps in (("m1", 0.1), ("m2", 0.2)):
-        tp = transmission_probability(_table(replace(base, power_s=ps), {field: grid}))
-        files.append(_curve(out_dir, f"{prefix}_{label}.csv",
-                            _headers(f"figure {figure} ({label})", replace(base, power_s=ps)),
-                            (column, "m_slots", "p_t_exact", "p_t_lower", "p_t_upper"), grid,
-                            [tp.m_slots, tp.value, tp.lower, tp.upper]))
-    return files
+        cols = _analyze_columns(_table(replace(base, power_s=ps), {field: grid}))
+        curves.append((f"{prefix}_{label}.csv",
+                       _headers(f"figure {figure} ({label})", replace(base, power_s=ps)),
+                       {column: grid, **{name: cols[name] for name in (
+                           "m_slots", "p_t_exact", "p_t_lower", "p_t_upper")}}))
+    return curves
 
 
-def _figure_6(args, out_dir) -> list[str]:
-    return _pt_curves(out_dir, 6, "fig6_pt",
-                      _study_params(r_g=3.0, r_h=1.0, power_p=1.0, lambda_s=2.0),
+def _figure_6(args) -> list:
+    return _pt_curves(6, "fig6_pt", _study_params(r_g=3.0, r_h=1.0, power_p=1.0, lambda_s=2.0),
                       "lambda_p_total", "lambda_p", np.linspace(0.002, 0.2, 40))
 
 
-def _figure_7(args, out_dir) -> list[str]:
-    return _pt_curves(out_dir, 7, "fig7_pt", _study_params(r_h=1.0, power_p=1.0),
+def _figure_7(args) -> list:
+    return _pt_curves(7, "fig7_pt", _study_params(r_h=1.0, power_p=1.0),
                       "r_g", "r_g", np.linspace(1.25, 8.0, 24))
 
 
-def _figure_8(args, out_dir) -> list[str]:
+def _figure_8(args) -> list:
     base = _study_params(r_g=3.0, r_h=1.0, power_p=2.0, power_s=0.1, lambda_s=0.2)
     cfg = _sim_cfg(args, replications=10, slots=200)
     hdr = _headers("figure 8", base, seed=args.seed,
                    replications=cfg.n_replications, slots=cfg.n_slots)
-    qs, exact, approx = _cdf(base, cfg)
-    return [_curve(out_dir, "fig8_interference_cdf.csv", hdr, CDF_COLUMNS, qs,
-                   [exact, approx])]
+    return [("fig8_interference_cdf.csv", hdr, _cdf(base, cfg))]
 
 
-def _outage_study(args, out_dir, figure, base, column, grid, fields, simulate) -> list[str]:
+def _outage_study(args, figure, base, column, grid, fields, simulate) -> list:
     """Figures 9 and 10: primary and secondary outage against ``column`` over
     ``grid``, whose values set every parameter in ``fields``.  The analytic
-    curves take the conservative active density at each point;
-    ``simulate(side, k)`` returns the k-th side's estimates, one per grid
-    value."""
+    curves are ``analyze``'s; ``simulate(table, side, k)`` returns the k-th
+    side's estimates, one row per grid value."""
     hdr = _headers(f"figure {figure}", base, seed=args.seed)
     table = _table(base, dict.fromkeys(fields, grid))
-    active = transmission_probability(table).conservative * table.lambda_s
-    sec = outage_secondary(table, active)
-    files = [
-        _curve(out_dir, f"fig{figure}_outage_primary_analytic.csv", hdr,
-               (column, "outage"), grid, [outage_primary(table, active).probability]),
-        _curve(out_dir, f"fig{figure}_outage_secondary_analytic.csv", hdr,
-               (column, "outage", "clamped"), grid, [sec.probability, sec.clamped.astype(int)]),
-    ]
-    for k, side in enumerate(("primary", "secondary")):
-        files.append(_curve(out_dir, f"fig{figure}_outage_{side}_sim.csv", hdr,
-                            (column, "estimate", "half_width", "n_samples"), grid,
-                            zip(*map(_est_columns, simulate(side, k)))))
-    return files
+    cols = _analyze_columns(table)
+    return [
+        (f"fig{figure}_outage_primary_analytic.csv", hdr,
+         {column: grid, "outage": cols["outage_p"]}),
+        (f"fig{figure}_outage_secondary_analytic.csv", hdr,
+         {column: grid, "outage": cols["outage_s"], "clamped": cols["outage_s_clamped"]}),
+    ] + [(f"fig{figure}_outage_{side}_sim.csv", hdr, {column: grid, **simulate(table, side, k)})
+         for k, side in enumerate(("primary", "secondary"))]
 
 
-def _figure_9(args, out_dir) -> list[str]:
+def _figure_9(args) -> list:
+    # One serial outage_curve per side: a dynamics run serves all 13 thresholds.
     base = _study_params(r_g=3.0, r_h=1.0, power_p=1.0, power_s=0.1, lambda_s=0.1)
     thetas = np.geomspace(1.0, 1000.0, 13)
 
-    def simulate(side, k):
-        return outage_curve(base, _sim_cfg(args, replications=8, slots=150, seed_index=k),
-                            side, thetas)
-    return _outage_study(args, out_dir, 9, base, "theta", thetas, ("theta_p", "theta_s"),
-                         simulate)
+    def simulate(table, side, k):
+        return _est_columns(outage_curve(
+            base, _sim_cfg(args, replications=8, slots=150, seed_index=k), side, thetas))
+    return _outage_study(args, 9, base, "theta", thetas, ("theta_p", "theta_s"), simulate)
 
 
-def _figure_10(args, out_dir) -> list[str]:
+def _figure_10(args) -> list:
     base = _study_params(r_g=4.0, r_h=1.0, power_p=2.0, lambda_s=0.2)
     grid = np.linspace(0.02, 0.4, 10)
 
-    def simulate(side, k):
-        return [estimate_outage(replace(base, power_s=float(ps)),
-                                _sim_cfg(args, replications=6, slots=120,
-                                         seed_index=k * len(grid) + i), side)
-                for i, ps in enumerate(grid)]
-    return _outage_study(args, out_dir, 10, base, "power_s", grid, ("power_s",), simulate)
+    def simulate(table, side, k):
+        return _simulated(table, _sim_cfg(args, replications=6, slots=120),
+                          f"outage-{side}", args.seed, first=k * len(grid))
+    return _outage_study(args, 10, base, "power_s", grid, ("power_s",), simulate)
 
 
-def _optimum_curves(args, out_dir, prefix, field, grid):
-    """The P1 optimum's ``field`` against lambda_p over ``grid``, one file per
-    primary budget; infeasible points are empty."""
+def _optimum_curves(args, prefix, field, column, grid) -> list:
+    """``optimize``'s ``column`` at the P1 optimum, as ``field``, against
+    lambda_p over ``grid``, one curve per primary budget; infeasible points
+    are empty."""
     base = _study_params(r_g=3.0, r_h=1.0, power_p=2.0, eps_s=0.3)
-    return [_curve(out_dir, f"{prefix}_eps{eps:g}.csv",
-                   _headers(f"{prefix} (eps_p={eps:g})", replace(base, eps_p=eps),
-                            seed=args.seed),
-                   ("lambda_p", field), grid,
-                   [getattr(solve_p1_closed_form(
-                       _table(replace(base, eps_p=eps), {"lambda_p_total": grid})), field)])
+    return [(f"{prefix}_eps{eps:g}.csv",
+             _headers(f"{prefix} (eps_p={eps:g})", replace(base, eps_p=eps), seed=args.seed),
+             {"lambda_p": grid, field: _optimize_columns(
+                 _table(replace(base, eps_p=eps), {"lambda_p_total": grid}))[column]})
             for eps in (0.1, 0.2, 0.3)]
 
 
-def _figure_11(args, out_dir) -> list[str]:
-    return _optimum_curves(args, out_dir, "fig11_ps_star", "p_s_star",
+def _figure_11(args) -> list:
+    return _optimum_curves(args, "fig11_ps_star", "p_s_star", "p_s_star",
                            np.linspace(0.001, 0.036, 30))
 
 
-def _figure_12(args, out_dir) -> list[str]:
-    return _optimum_curves(args, out_dir, "fig12_cs_star", "throughput",
+def _figure_12(args) -> list:
+    return _optimum_curves(args, "fig12_cs_star", "throughput", "c_s_star",
                            np.linspace(0.002, 0.075, 30))
 
 
-def _figure_13(args, out_dir) -> list[str]:
-    return _pt_curves(out_dir, 13, "fig13_wit_pt",
+def _figure_13(args) -> list:
+    return _pt_curves(13, "fig13_wit_pt",
                       _study_params(r_g=0.0, r_h=1.0, power_p=1.0, lambda_s=2.0),
                       "lambda_p_total", "lambda_p", np.linspace(0.005, 0.3, 30))
 
@@ -489,7 +474,9 @@ def cmd_figure(args) -> int:
         raise ValueError(f"unknown figure id {args.id}; known: {sorted(_FIGURES)} or all")
     os.makedirs(args.out_dir, exist_ok=True)
     for i in ids:
-        for path in _FIGURES[i](args, args.out_dir):
+        for name, header, columns in _FIGURES[i](args):
+            path = os.path.join(args.out_dir, name)
+            _write_csv(path, header, columns)
             print(path)
     return 0
 

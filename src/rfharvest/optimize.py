@@ -268,20 +268,21 @@ def _p2_rows(table: NetworkParams):
 
 
 def _solve_rows(table: NetworkParams):
-    """(result, no reasons): each row of a table solved by the solver
-    :func:`solve` picks for it.  Only a single parameter set reads reasons,
-    and :func:`solve` hands one to its solver directly."""
+    """(result, reasons): each row of a table solved by the solver
+    :func:`solve` picks for it.  The reasons are the last solver's; only a
+    single parameter set reads them, and its one row has one solver."""
     p = table
     p2 = p.r_g == 0
     numeric = ~p2 & (p.noise > 0)
-    parts = []
+    parts, reasons = [], []
     for mask, solver in ((p2, _p2_rows), (numeric, _numeric_rows),
                          (~p2 & ~numeric, _closed_form_rows)):
         rows = np.flatnonzero(mask)
         if len(rows):
             with _rows_of(rows):
-                parts.append((rows, solver(_take(p, rows))[0]))
-    return _gather(len(p.r_g), parts), []
+                res, reasons = solver(_take(p, rows))
+            parts.append((rows, res))
+    return _gather(len(p.r_g), parts), reasons
 
 
 def _solved(solver, params: NetworkParams) -> OptimizationResult:
@@ -335,7 +336,4 @@ def solve(params: NetworkParams) -> OptimizationResult:
     """The optimum by the solver that fits ``params``: P2 when r_g = 0 (no
     guard zones, dedicated chargers), else P1 in closed form at zero noise
     and by bisection otherwise; for a table, each row's own."""
-    if _is_table(params):
-        return _solved(_solve_rows, params)
-    p2, noisy = params.r_g == 0, params.noise > 0
-    return _solved(_p2_rows if p2 else _numeric_rows if noisy else _closed_form_rows, params)
+    return _solved(_solve_rows, params)

@@ -59,7 +59,7 @@ class SimEstimate:
 class SimConfig:
     """Simulation controls.
 
-    window_side   None picks max(20 * r_g, 100); must be finite and >= 4 * r_g
+    window_side   None picks max(20 * r_g, 100); must be >= 4 * r_g, with a finite area
     n_slots       measured slots per replication (after warm-up)
     warmup        discarded leading slots, >= 0; None picks max(10 * m_slots, 100)
     """
@@ -74,6 +74,8 @@ class SimConfig:
         side = self.window_side
         if side is not None and not (math.isfinite(side) and side > 0):
             raise ValueError(f"window side must be finite and positive, got {side}")
+        if side is not None and not math.isfinite(side * side):
+            raise ValueError(f"window side {side} has an area too large to represent")
         if self.warmup is not None and self.warmup < 0:
             raise ValueError(f"warmup must be non-negative, got {self.warmup}")
         if self.n_slots < 1:
@@ -494,10 +496,9 @@ def _sinr_samples(params: NetworkParams, config: SimConfig, side: str,
                   conditioning: str) -> list[np.ndarray]:
     """SINR samples at a probe receiver at the origin, one array per replication."""
     p = params
-    if side == "primary":
-        signal_power, link_dist = p.power_p, p.d_p
-    else:
-        signal_power, link_dist = p.power_s, p.d_s
+    signal_power, link_dist = (p.power_p, p.d_p) if side == "primary" else (p.power_s, p.d_s)
+    # A receiver at its transmitter has infinite SINR, so it never fails.
+    path_gain = link_dist ** -p.alpha if link_dist > 0 else math.inf
     reject = side == "secondary" and conditioning == "rejection" and p.r_g > 0
     rg2 = p.r_g ** 2
     sim_kwargs = {"dedicated_pt": np.array([p.d_p, 0.0])} if side == "primary" else {}
@@ -515,7 +516,7 @@ def _sinr_samples(params: NetworkParams, config: SimConfig, side: str,
             i_s = _shot_noise(sim.transmitting_st_xy(r), p.power_s, p.alpha, rng)
             g = rng.exponential()
             denom = i_p + i_s + p.noise
-            signal = g * signal_power * link_dist ** -p.alpha
+            signal = g * signal_power * path_gain
             out.append(signal / denom if denom > 0 else np.inf)
 
     _measured_slots(p, config, measure, **sim_kwargs)

@@ -50,10 +50,16 @@ def test_parse_sweep_forms():
 
 @pytest.mark.parametrize("bad", [
     "power_s=1:2", "nope=1:2:5", "power_s=2:1:5", "power_s=1:2:1",
-    "power_s=0:1:5:log", "power_s=1:2:5:cubic",
+    "power_s=0:1:5:log", "power_s=1:2:5:cubic", "power_s=0.1:inf:3", "power_s=nan:1:3",
 ])
 def test_parse_sweep_rejects(bad):
     with pytest.raises(ValueError):
+        parse_sweep(bad)
+
+
+@pytest.mark.parametrize("bad", ["power_s=0.1:inf:3", "power_s=nan:1:3"])
+def test_parse_sweep_names_non_finite_bounds(bad):
+    with pytest.raises(ValueError, match=f"sweep bounds must be finite, got '{bad}'"):
         parse_sweep(bad)
 
 
@@ -218,6 +224,7 @@ def test_simulate_zero_replications_fails(config_path, tmp_path, capsys):
     ("--window", "nan", "window side must be finite and positive, got nan"),
     ("--window", "inf", "window side must be finite and positive, got inf"),
     ("--window", "0", "window side must be finite and positive, got 0.0"),
+    ("--window", "1e160", "window side 1e+160 has an area too large to represent"),
 ])
 def test_simulate_bad_warmup_or_window_fails_cleanly(config_path, tmp_path, capsys,
                                                       flag, value, message):
@@ -492,7 +499,7 @@ def test_csv_writer_matches_per_value_format(tmp_path):
         "listed": [float(v) if v % 2 else int(v) for v in rows % 11],
     }
     path = tmp_path / "out.csv"
-    _write_csv(path, ["a header"], list(columns), list(columns.values()))
+    _write_csv(path, ["a header"], columns)
     got = path.read_text(encoding="utf-8")
     want = _reference_csv(["a header"], list(columns), list(columns.values()))
     # the first differing line, not a diff of the whole file
@@ -510,7 +517,7 @@ def test_csv_writer_memory_is_bounded_by_its_chunk(tmp_path):
                    np.arange(n) % 7, np.array([2**70 + i % 3 for i in range(n)], dtype=object)]
         tracemalloc.start()
         try:
-            _write_csv(tmp_path / "big.csv", [], ["a", "b", "c", "d"], columns)
+            _write_csv(tmp_path / "big.csv", [], dict(zip("abcd", columns)))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -16,6 +16,7 @@ import tempfile
 
 import pytest
 
+from rfharvest import cli
 from rfharvest.cli import main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -73,15 +74,35 @@ def run_case(name: str, out_dir: str) -> list[str]:
     return sorted(set(os.listdir(out_dir)) - before)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_output_unchanged(name, tmp_path, monkeypatch):
-    monkeypatch.setenv("RFH_THREADS", "1")
+def assert_golden(name, tmp_path) -> None:
     written = run_case(name, str(tmp_path))
     assert written
     for fname in written:
         with open(os.path.join(GOLDEN, fname), "rb") as fh:
             expected = fh.read()
         assert (tmp_path / fname).read_bytes() == expected, fname
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output_unchanged(name, tmp_path, monkeypatch):
+    monkeypatch.setenv("RFH_THREADS", "1")
+    assert_golden(name, tmp_path)
+
+
+@pytest.mark.parametrize("workers", ["2", "3"])
+@pytest.mark.parametrize("name", ["figure5", "figure10"])
+def test_pooled_figures_unchanged_by_worker_count(name, workers, tmp_path, monkeypatch):
+    # each simulated point has its own seed, so the pool reorders nothing
+    monkeypatch.setenv("RFH_THREADS", workers)
+    assert_golden(name, tmp_path)
+
+
+def test_figure_9_starts_no_process_pool(tmp_path, monkeypatch):
+    # its two serial outage_curve runs fork no worker to add to its memory
+    monkeypatch.setenv("RFH_THREADS", "2")
+    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                        lambda *a, **kw: pytest.fail("figure 9 started a process pool"))
+    assert_golden("figure9", tmp_path)
 
 
 def test_figure_all_writes_every_study_in_id_order(tmp_path, capsys):

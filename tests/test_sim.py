@@ -9,8 +9,8 @@ from scipy import stats
 
 from rfharvest import (ConditioningTooRareError, SimConfig, SlotSimulator,
                        charging_geometry, estimate_outage, estimate_p_t,
-                       interference_samples, outage_curve, p_guard, phi,
-                       transmission_probability)
+                       interference_samples, outage_curve, outage_primary,
+                       outage_secondary, p_guard, phi, transmission_probability)
 from rfharvest import sim as sim_module
 from rfharvest.sim import (_CellList, _cluster_rates, _cluster_transmitters, _combine,
                            _hppp, _min_image_d2, _rep_rngs, _shot_noise)
@@ -512,6 +512,17 @@ def test_simconfig_validation():
 def test_simconfig_rejects_bad_window(side):
     with pytest.raises(ValueError, match="window side must be finite and positive"):
         SimConfig(window_side=side)
+
+
+@pytest.mark.parametrize("side, field, closed_form", [
+    ("primary", "d_p", outage_primary), ("secondary", "d_s", outage_secondary),
+    ("wit", "d_s", outage_secondary)])
+def test_zero_link_distance_never_fails(side, field, closed_form):
+    # a receiver at its transmitter sees infinite SINR, as the closed forms say
+    p = make_params(**{field: 0.0})
+    est = estimate_outage(p, small_cfg(), side)
+    assert (est.mean, est.half_width) == (0.0, 0.0) and est.n_samples > 0
+    assert closed_form(p, 0.01).probability == 0.0
 
 
 def test_simconfig_rejects_negative_warmup():

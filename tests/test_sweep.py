@@ -143,15 +143,27 @@ def test_benchmark_grid_matches_per_row_reference(tmp_path, noisy_config, comman
     # a log axis
     ("analyze", "example", ["lambda_p_total=0.001:0.05:12:log", "alpha=2.5:5:5"]),
     ("optimize", "noisy", ["power_p=0.5:8:9:log", "eps_s=0.05:0.5:6"]),
-    # the same field swept twice: the later sweep sets both columns
-    ("analyze", "example", ["power_s=0.05:0.5:4", "lambda_p_total=0.002:0.05:5",
-                            "power_s=0.1:0.9:3"]),
-    ("optimize", "noisy", ["eps_p=0.05:0.3:3", "eps_p=0.1:0.4:7"]),
     # every row the dedicated-charger problem P2 (r_g = 0), 300 rows
     ("optimize", "p2", ["eps_s=0.05:0.5:15", "lambda_p_total=0.002:0.05:20"]),
-], ids=["analyze-3d", "optimize-3d", "analyze-log", "optimize-log", "analyze-twice",
-        "optimize-twice", "optimize-p2"])
+], ids=["analyze-3d", "optimize-3d", "analyze-log", "optimize-log", "optimize-p2"])
 def test_repeating_grid_matches_per_row_reference(tmp_path, noisy_config, p2_config, command,
                                                   config, sweeps):
     path = {"example": EXAMPLE, "noisy": noisy_config, "p2": p2_config}[config]
     assert_matches_reference(tmp_path, command, path, sweeps)
+
+
+@pytest.mark.parametrize("command, sweeps", [
+    ("analyze", ["power_s=0.05:0.5:4", "lambda_p_total=0.002:0.05:5", "power_s=0.1:0.9:3"]),
+    ("optimize", ["eps_p=0.05:0.3:3", "eps_p=0.1:0.4:7"]),
+    ("simulate", ["power_s=0.05:0.1:2", "power_s=0.1:0.2:2"]),
+], ids=["analyze", "optimize", "simulate"])
+def test_sweeping_a_name_twice_fails(tmp_path, capsys, command, sweeps):
+    out = tmp_path / "x.csv"
+    argv = [command, "--config", EXAMPLE, "--out", str(out)]
+    for s in sweeps:
+        argv += ["--sweep", s]
+    assert main(argv) == 2
+    name = sweeps[-1].split("=")[0]
+    assert capsys.readouterr().err == (
+        f"rfharvest: error: parameter {name!r} is swept twice\n")
+    assert not out.exists()
