@@ -21,9 +21,9 @@ import numpy as np
 from . import __version__
 from .analytics import (outage_primary, outage_secondary, transmission_probability,
                         zone_probabilities)
-from .optimize import InfeasibleError, solve
-from .params import (NetworkParams, ParameterError, _distinct, _scalar, _table, _take,
-                     charging_geometry, load_params, params_to_dict, validate)
+from .optimize import solve
+from .params import (NetworkParams, _distinct, _scalar, _table, _take, charging_geometry,
+                     load_params, params_to_dict, validate)
 from .sim import (ConditioningTooRareError, SimConfig, estimate_outage, estimate_p_t,
                   interference_samples, outage_curve)
 
@@ -92,18 +92,25 @@ def _first_error(table_columns):
     when a row fails, the error of the first row that fails, as evaluating
     the rows one by one meets it.
 
-    A row error names its row k, and no row before k failed the same or an
-    earlier check, but one may fail a later check: the rows before k are
-    evaluated again.  (``simulate`` validates its whole grid before it
-    simulates a point, so it is not wrapped: a bad row fails at once.)
+    Rows are independent: a run of rows fails exactly when one of its rows
+    fails alone.  So the failing run is halved, keeping its first half if
+    that fails and its second half if not, down to one row, which is then
+    evaluated alone to raise its own error.  (``simulate`` validates its
+    whole grid before it simulates a point, so it is not wrapped.)
     """
-    def columns(table: NetworkParams) -> list:
+    def columns(table: NetworkParams) -> dict:
         try:
             return table_columns(table)
-        except ValueError as exc:
-            row = getattr(exc, "row", 0)
-            if row:
-                columns(_take(table, slice(0, row)))
+        except ValueError:
+            lo, hi = 0, len(table.power_s)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                try:
+                    table_columns(_take(table, slice(lo, mid)))
+                    lo = mid
+                except ValueError:
+                    hi = mid
+            table_columns(_take(table, slice(lo, hi)))
             raise
     return columns
 
@@ -534,8 +541,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParameterError, InfeasibleError, ConditioningTooRareError, ValueError,
-            OSError, json.JSONDecodeError) as exc:
+    except (ValueError, ConditioningTooRareError, OSError) as exc:
         print(f"rfharvest: error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -18,8 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytics import p_guard, phi, spatial_throughput, transmission_probability
-from .params import (NetworkParams, _each, _fail, _is_table, _pow, _rows_of, _scalar,
-                     _table, _take)
+from .params import NetworkParams, _each, _fail, _is_table, _pow, _scalar, _table, _take
 
 __all__ = [
     "OptimizationResult",
@@ -148,44 +147,32 @@ def _links(table: NetworkParams, rows, names: tuple[str, ...]) -> None:
         f"the throughput optimum needs positive {' and '.join(names)}"))
 
 
-def _gather(n: int, parts) -> OptimizationResult:
-    """One table result of ``n`` rows from (rows, result) parts; a row in no
-    part is infeasible."""
-    def column(get, fill=math.nan, dtype=float):
-        out = np.full(n, fill, dtype=dtype)
-        for rows, res in parts:
-            out[rows] = get(res)
+def _optimum(table: NetworkParams, feasible, p_s_star, active, mu_p, mu_s,
+             binding) -> OptimizationResult:
+    """The table result of located optima: in each feasible row, the optimum
+    at (p_s_star, active), where the constraints ``binding`` bind, with the
+    deployment density that realizes it (an interval where p_t is not
+    exact); an infeasible row is NaN, with m_at_optimum None and binding ''."""
+    rows = np.flatnonzero(feasible)
+    tp = transmission_probability(replace(_take(table, rows), power_s=p_s_star[rows]))
+
+    def scatter(values, fill=math.nan, dtype=float):
+        out = np.full(len(feasible), fill, dtype=dtype)
+        out[rows] = values
         return out
 
+    lam_star = np.where(tp.conservative > 0, active[rows] / tp.conservative, math.inf)
+    lam_lower = np.where(tp.lower > 0, active[rows] / tp.lower, math.inf)
+    active = np.where(feasible, active, math.nan)
     return OptimizationResult(
-        **{f: column(lambda r, f=f: getattr(r, f))
-           for f in ("p_s_star", "active_density", "throughput", "mu_s", "lambda_s_star",
-                     "mu_p")},
-        lambda_s_interval=(column(lambda r: r.lambda_s_interval[0]),
-                           column(lambda r: r.lambda_s_interval[1])),
-        m_at_optimum=column(lambda r: r.m_at_optimum, None, object),
-        binding=column(lambda r: r.binding, "", object))
-
-
-def _optimum(table: NetworkParams, feasible, p_s_star, active, mu_p, mu_s,
-             binding: str) -> OptimizationResult:
-    """The optimum at (p_s_star, active) in the feasible rows of a table, where
-    the constraints ``binding`` bind, with the deployment density that
-    realizes it (an interval where p_t is not exact)."""
-    rows = np.flatnonzero(feasible)
-    with _rows_of(rows):
-        tp = transmission_probability(replace(_take(table, rows), power_s=p_s_star[rows]))
-    active = active[rows]
-    lam_star = np.where(tp.conservative > 0, active / tp.conservative, math.inf)
-    lam_lower = np.where(tp.lower > 0, active / tp.lower, math.inf)
-    res = OptimizationResult(
-        p_s_star=p_s_star[rows], active_density=active,
-        throughput=spatial_throughput(active, 1.0, table.theta_s[rows]),
-        mu_p=mu_p[rows], mu_s=mu_s[rows], lambda_s_star=lam_star,
-        lambda_s_interval=(np.where(tp.exact, np.nan, lam_star),
-                           np.where(tp.exact, np.nan, lam_lower)),
-        m_at_optimum=tp.m_slots, binding=np.full(len(rows), binding, dtype=object))
-    return _gather(len(feasible), [(rows, res)])
+        p_s_star=np.where(feasible, p_s_star, math.nan), active_density=active,
+        throughput=spatial_throughput(active, 1.0, table.theta_s),
+        mu_p=np.where(feasible, mu_p, math.nan), mu_s=np.where(feasible, mu_s, math.nan),
+        lambda_s_star=scatter(lam_star),
+        lambda_s_interval=(scatter(np.where(tp.exact, np.nan, lam_star)),
+                           scatter(np.where(tp.exact, np.nan, lam_lower))),
+        m_at_optimum=scatter(tp.m_slots, None, object),
+        binding=np.where(feasible, binding, "").astype(object))
 
 
 def _infeasible(reasons):
@@ -193,9 +180,10 @@ def _infeasible(reasons):
 
 
 def _closed_form_rows(table: NetworkParams):
-    """(result, reasons): the closed-form P1 optimum of each row of a table,
-    and (rows, message(row)) for each way a row can be infeasible, in the
-    order a single parameter set meets them."""
+    """(optimum, reasons): where the closed-form P1 optimum of each row of a
+    table lies, as the arguments of :func:`_optimum` after the table, and
+    (rows, message(row)) for each way a row can be infeasible, in the order
+    a single parameter set meets them."""
     p = table
     _fail(p.noise != 0.0, lambda k: ValueError(
         "closed form requires zero noise; use solve_p1_numeric"))
@@ -210,11 +198,11 @@ def _closed_form_rows(table: NetworkParams):
         * _pow(ms / mp, -p.alpha / 2.0) * p.power_p
     active = ms * (mp - floor) / (_pow(p.theta_s, 2.0 / p.alpha) * _pow(p.d_s, 2) * mp
                                   * _each(phi, p.alpha))
-    return _optimum(p, feasible, p_s_star, active, mp, ms, "primary+secondary"), reasons
+    return (feasible, p_s_star, active, mp, ms, "primary+secondary"), reasons
 
 
 def _numeric_rows(table: NetworkParams):
-    """(result, reasons) as for :func:`_closed_form_rows`, by bisection: the
+    """(optimum, reasons) as for :func:`_closed_form_rows`, by bisection: the
     rows step in lockstep, and each row stops at its own tolerance, so it
     visits the midpoints a solve of that row alone visits."""
     p = table
@@ -246,11 +234,11 @@ def _numeric_rows(table: NetworkParams):
         run = run[hi[run] - lo[run] > BISECT_RTOL * hi[run]]
     p_s_star = 0.5 * (lo + hi)
     active = curves(p_s_star)[0]
-    return _optimum(p, feasible, p_s_star, active, mp, ms, "primary+secondary"), reasons
+    return (feasible, p_s_star, active, mp, ms, "primary+secondary"), reasons
 
 
 def _p2_rows(table: NetworkParams):
-    """(result, reasons) as for :func:`_closed_form_rows`, for the
+    """(optimum, reasons) as for :func:`_closed_form_rows`, for the
     dedicated-charger problem; no row is infeasible.  The power fills the
     battery in one slot (m = 1), where p_t is exact."""
     p = table
@@ -262,40 +250,44 @@ def _p2_rows(table: NetworkParams):
     mus = -_each(math.log1p, -p.eps_s)
     active = mus / (_pow(p.theta_s, 2.0 / p.alpha) * _pow(p.d_s, 2) * _each(phi, p.alpha))
     p_s_star = p.eta * p.power_p * _pow(p.r_h, -p.alpha)
-    n = len(active)
-    return _optimum(p, np.ones(n, dtype=bool), p_s_star, active, np.full(n, math.nan), mus,
-                    "secondary"), []
+    return (np.ones(len(active), dtype=bool), p_s_star, active, math.nan, mus,
+            "secondary"), []
 
 
 def _solve_rows(table: NetworkParams):
-    """(result, reasons): each row of a table solved by the solver
-    :func:`solve` picks for it.  The reasons are the last solver's; only a
-    single parameter set reads them, and its one row has one solver."""
+    """(optimum, reasons): where each row of a table has its optimum, located
+    by the solver :func:`solve` picks for it.  The reasons are the last
+    solver's; only a single parameter set reads them, and its one row has
+    one solver."""
     p = table
     p2 = p.r_g == 0
     numeric = ~p2 & (p.noise > 0)
-    parts, reasons = [], []
+    n = len(p.r_g)
+    optimum = [np.zeros(n, dtype=bool), *np.full((4, n), math.nan), np.full(n, "", object)]
+    reasons = []
     for mask, solver in ((p2, _p2_rows), (numeric, _numeric_rows),
                          (~p2 & ~numeric, _closed_form_rows)):
         rows = np.flatnonzero(mask)
         if len(rows):
-            with _rows_of(rows):
-                res, reasons = solver(_take(p, rows))
-            parts.append((rows, res))
-    return _gather(len(p.r_g), parts), reasons
+            part, reasons = solver(_take(p, rows))
+            for column, values in zip(optimum, part):
+                column[rows] = values
+    return optimum, reasons
 
 
 def _solved(solver, params: NetworkParams) -> OptimizationResult:
-    """``solver``'s result for a table; for one parameter set, its scalar
-    result, or InfeasibleError with the reason the set meets first.
+    """The optimum ``solver`` locates, for a table; for one parameter set, its
+    scalar result, or InfeasibleError with the reason the set meets first.
 
     Rows that are infeasible, or are refused, may divide by zero on the way;
     their values are not used.
     """
+    table = params if _is_table(params) else _table(params, {})
     with np.errstate(divide="ignore", invalid="ignore"):
-        if _is_table(params):
-            return solver(params)[0]
-        res, reasons = solver(_table(params, {}))
+        optimum, reasons = solver(table)
+        res = _optimum(table, *optimum)
+    if table is params:
+        return res
     for bad, message in reasons:
         if bad[0]:
             raise InfeasibleError(message(0))

@@ -16,12 +16,13 @@ patterns of its arguments, so :func:`_each` calls it once per distinct row
 of them, keyed on int64 views of the floats (never on float equality, which
 merges ``-0.0`` with ``0.0``), and gathers the values back to the rows; a
 sweep grid repeats most arguments many times.  A check that fails raises for
-the first failing row, and the exception's ``row`` attribute holds that row.
+the first row that fails it.  Rows are independent: a table raises exactly
+when one of its rows raises alone, which ``cli._first_error`` uses to find
+the first failing row.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import json
@@ -194,18 +195,6 @@ def _take(table, rows):
     return replace(table, **{f.name: getattr(table, f.name)[rows] for f in fields(table)})
 
 
-@contextlib.contextmanager
-def _rows_of(rows):
-    """Within: a row error raised on the sub-table ``_take(table, rows)``, with
-    ``rows`` an index array, names its row of ``table``."""
-    try:
-        yield
-    except ValueError as exc:
-        if hasattr(exc, "row"):
-            exc.row = int(rows[exc.row])
-        raise
-
-
 def _dense(key):
     """(first, inverse) of an integer column: ``first`` holds one row of each
     distinct value, in increasing order of value, and row i holds the value
@@ -283,8 +272,23 @@ def _each(fn, *args, dtype=float):
     once.  Where :func:`_distinct` declines (a short table, or a column
     that seldom repeats), and for a one-row table or a column that is not
     float64, ``fn`` is mapped over the rows.  Without column arguments this
-    is ``fn(*args)``.
+    is ``fn(*args)``.  A value beyond the float range (also ``pow(0.0, -1.0)``)
+    raises ValueError, naming the call of the first row that overflows.
     """
+    try:
+        return _mapped(fn, args, dtype)
+    except (OverflowError, ZeroDivisionError):
+        n = max([len(a) for a in args if isinstance(a, np.ndarray)], default=1)
+        for row in zip(*[a.tolist() if isinstance(a, np.ndarray) else [a] * n for a in args]):
+            try:
+                fn(*row)
+            except (OverflowError, ZeroDivisionError):
+                raise ValueError(f"{fn.__name__.lstrip('_')}({', '.join(map(repr, row))}) "
+                                 "overflows the float range") from None
+        raise
+
+
+def _mapped(fn, args, dtype):
     cols = [a for a in args if isinstance(a, np.ndarray)]
     if not cols:
         return fn(*args)
@@ -310,13 +314,9 @@ def _pow(x, y):
 
 
 def _fail(bad, error) -> None:
-    """Raise ``error(k)`` for the first row k where ``bad`` holds, with
-    ``row`` = k on the exception."""
+    """Raise ``error(k)`` for the first row k where ``bad`` holds."""
     if np.any(bad):
-        k = int(np.argmax(bad))
-        exc = error(k)
-        exc.row = k
-        raise exc
+        raise error(int(np.argmax(bad)))
 
 
 def _at(v, k: int):
@@ -324,15 +324,11 @@ def _at(v, k: int):
     return v.item(k) if isinstance(v, np.ndarray) else v
 
 
-def _finite(x) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
-
-
 def _number(v):
     """A column as it is; a scalar as a float, NaN if it is not a finite number."""
     if isinstance(v, np.ndarray):
         return v
-    return float(v) if _finite(v) else math.nan
+    return float(v) if isinstance(v, (int, float)) and math.isfinite(v) else math.nan
 
 
 def validate(params: NetworkParams, *, warn: bool = True) -> NetworkParams:
@@ -392,7 +388,7 @@ def _warn_regime(p: NetworkParams) -> None:
     checks = [("d_p", p.d_p, "r_g", p.r_g, p.r_g > 0),
               ("lambda_p_total", p.lambda_p_total, "lambda_s", p.lambda_s, p.lambda_s > 0),
               ("power_s", p.power_s, "power_p", p.power_p, p.power_p > 0),
-              ("pi*r_h^2*lambda_p", math.pi * p.r_h**2 * p.lambda_p, "unity", 1.0, True)]
+              ("pi*r_h^2*lambda_p", math.pi * (p.r_h * p.r_h) * p.lambda_p, "unity", 1.0, True)]
     for small_name, small, large_name, large, applies in checks:
         stretched = applies & (small > REGIME_RATIO * large)
         if np.any(stretched):
@@ -421,8 +417,7 @@ def charging_geometry(params: NetworkParams) -> ChargingGeometry:
     threshold = p.eta * p.power_p * _pow(p.r_h, -p.alpha)
     _fail(threshold <= 0, lambda k: ParameterError(
         ["per-slot harvest is zero; power_p and eta must be positive"]))
-    m = _each(lambda x: max(1, math.ceil(x)), (p.power_s / threshold) * (1.0 - 1e-12),
-              dtype=object)
+    m = np.maximum(_each(math.ceil, (p.power_s / threshold) * (1.0 - 1e-12), dtype=object), 1)
     two, three = m >= 2, m >= 3
     h1 = np.where(two, _pow(p.power_s / (p.eta * p.power_p), -1.0 / p.alpha), np.nan)
     h2 = np.where(three, _pow(p.power_s / (2.0 * p.eta * p.power_p), -1.0 / p.alpha), np.nan)

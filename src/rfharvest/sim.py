@@ -100,7 +100,12 @@ class SimConfig:
 
 
 def _hppp(density: float, window: float, rng: np.random.Generator) -> np.ndarray:
-    """Homogeneous Poisson points in the centered square window, shape (n, 2)."""
+    """Homogeneous Poisson points in the centered square window, shape (n, 2);
+    refused before the draw above 1e18 expected points (16 EB of coordinates)."""
+    expected = density * window * window
+    if expected > 1e18:
+        raise ValueError(f"a window of side {window:g} expects {expected:.4g} points at "
+                         f"density {density:g}, over the limit of 1e18")
     n = rng.poisson(density * window ** 2)
     half = window / 2.0
     return rng.uniform(-half, half, size=(n, 2))
@@ -348,7 +353,8 @@ def _measured_slots(params: NetworkParams, config: SimConfig, measure, **sim_kwa
             f"a replication would run {warmup} warm-up slots (m_slots = {m}) plus "
             f"{config.n_slots} measured slots, over the limit of {MAX_REPLICATION_SLOTS}")
     rngs = _rep_rngs(config)
-    expected = params.lambda_s * config.resolved_window(params) ** 2
+    window = config.resolved_window(params)
+    expected = params.lambda_s * window * window  # inf, not OverflowError, if huge
     size = max(1, int(_BATCH_SECONDARIES / max(expected, 1.0)))
     for first in range(0, len(rngs), size):
         sim = SlotSimulator(params, config, rngs[first:first + size], **sim_kwargs)

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rfharvest import params_to_dict
+from rfharvest import load_params, params_to_dict, transmission_probability
 from rfharvest.cli import _CHUNK_ROWS, _fmt, _n_workers, _write_csv, main, parse_sweep
 
 from conftest import make_params
@@ -115,12 +115,42 @@ EXAMPLE = str(ROOT / "configs" / "example.json")
     (["optimize", "--sweep", "noise=0:0.1:2", "--sweep", "eps_s=0.3:1:2",
       "--sweep", "r_g=0:6:2"],
      "eps_s must lie in (0, 1), got 1.0"),
-], ids=["analyze-validation", "optimize-p2-noise", "solve-row-first", "invalid-row-first"])
+    # 40,000 rows whose first failing row is row 199, found by halving
+    (["analyze", "--sweep", "lambda_p_total=0.001:0.05:200", "--sweep", "r_h=0.5:3.0:200"],
+     "harvesting radius r_h=3.0 must be smaller than guard radius r_g=3.0"),
+    # valid rows (d_s = 0.5) before the first row whose d_s**alpha overflows
+    (["analyze", "--sweep", "d_s=0.5:1e300:3", "--sweep", "power_s=0.05:0.2:2"],
+     "pow(5e+299, 4.0) overflows the float range"),
+    (["optimize", "--sweep", "d_s=0.5:1e300:3", "--sweep", "power_s=0.05:0.2:2"],
+     "pow(1e+300, 4.0) overflows the float range"),
+], ids=["analyze-validation", "optimize-p2-noise", "solve-row-first", "invalid-row-first",
+        "deep-row", "analyze-overflow-row", "optimize-overflow-row"])
 def test_sweep_reports_first_failing_row(tmp_path, capsys, argv, message):
     out = tmp_path / "x.csv"
     rc = main(argv[:1] + ["--config", EXAMPLE, "--out", str(out)] + argv[1:])
     assert rc == 2
     assert capsys.readouterr().err == f"rfharvest: error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, field, value, message", [
+    ("analyze", "r_h", 1e-300, "pow(1e-300, -4.0)"),
+    ("optimize", "r_h", 1e-300, "pow(1e-300, -4.0)"),
+    ("simulate", "r_h", 1e-300, "pow(1e-300, -4.0)"),
+    ("analyze", "d_s", 1e300, "pow(1e+300, 4.0)"),
+    ("optimize", "d_s", 1e300, "pow(2e+300, 4.0)"),  # (d_s / d_p)**alpha
+])
+def test_overflowing_config_fails_cleanly(tmp_path, capsys, command, field, value, message):
+    data = json.loads(pathlib.Path(EXAMPLE).read_text())
+    data[field] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    out = tmp_path / "x.csv"
+    argv = [command, "--config", str(config), "--out", str(out)]
+    if command == "simulate":
+        argv += ["--replications", "1", "--slots", "2", "--window", "20"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"rfharvest: error: {message} overflows the float range\n"
     assert not out.exists()
 
 
@@ -243,6 +273,37 @@ def test_simulate_oversized_window_fails_cleanly(config_path, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("rfharvest: error: Unable to allocate") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", [["--target", "p_t"],
+                                    ["--target", "interference", "--mode", "approx"]],
+                         ids=["p_t", "interference-approx"])
+def test_simulate_refuses_window_too_large_to_draw(config_path, tmp_path, capsys, target):
+    p = load_params(config_path)
+    # the dynamics draw the chargers first; the surrogate draws the transmitters
+    density = p.lambda_p if "p_t" in target else (
+        transmission_probability(p).conservative * p.lambda_s)
+    out = tmp_path / "x.csv"
+    rc = main(["simulate", "--config", config_path, "--out", str(out), "--window", "1e20",
+               "--replications", "1", "--slots", "2"] + target)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"rfharvest: error: a window of side 1e+20 expects {density * 1e20 * 1e20:.4g} "
+        f"points at density {density:g}, over the limit of 1e18\n")
+    assert not out.exists()
+
+
+def test_simulate_refuses_default_window_of_huge_guard_radius(tmp_path, capsys):
+    # the default window, 20 r_g = 2e301, has an area beyond the float range
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(params_to_dict(make_params(r_g=1e300))))
+    out = tmp_path / "x.csv"
+    rc = main(["simulate", "--config", str(config), "--out", str(out),
+               "--replications", "1", "--slots", "2"])
+    assert rc == 2
+    assert capsys.readouterr().err == ("rfharvest: error: a window of side 2e+301 expects inf "
+                                       "points at density 0.01, over the limit of 1e18\n")
     assert not out.exists()
 
 

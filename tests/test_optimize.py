@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from rfharvest import (InfeasibleError, mu_primary, mu_secondary, p_guard, phi,
+from rfharvest import (InfeasibleError, NetworkParams, mu_primary, mu_secondary, p_guard, phi,
                        solve, solve_p1_closed_form, solve_p1_numeric, solve_p2,
                        spatial_throughput, tau_primary, tau_secondary, tau_wit,
                        transmission_probability, wit_outage)
@@ -270,3 +271,45 @@ def test_mu_transforms():
     assert mu_primary(0.2) == pytest.approx(-math.log(0.8), rel=1e-14)
     assert mu_secondary(0.3, p_guard(0.01, 3.0)) == pytest.approx(
         WORKED["mu_s"], rel=1e-12)
+
+
+def _bits(x):
+    """A float's bit pattern; None for None, which a table holds as NaN."""
+    return None if x is None or math.isnan(x) else struct.pack("<d", x)
+
+
+def test_mixed_solver_table_matches_each_row_solved_alone():
+    # The CLI refuses r_g = 0 with noise, so no sweep builds this table.
+    rows = [make_params(r_g=0.0),                                   # P2
+            make_params(r_g=3.0, power_p=2.0),                      # P1, closed form
+            make_params(noise=1e-3),                                # P1, bisection
+            make_params(eps_p=1e-9),                                # closed form infeasible
+            make_params(eps_p=1e-9, noise=1e-3),                    # bisection infeasible
+            make_params(power_p=2.0, eps_p=0.9, eps_s=0.01, lambda_p_total=0.02,
+                        noise=1e-6),                                # no intersection
+            make_params(lambda_p_total=30.0),                       # p_g = 0
+            worked_params(eta=0.01),                                # m > 2: an interval
+            make_params(r_g=0.0, eps_s=0.1, lambda_s=0.5),          # P2 again
+            make_params(noise=1e-2, power_s=0.3)]                   # bisection again
+    table = NetworkParams(**{f.name: np.array([getattr(p, f.name) for p in rows])
+                             for f in dataclasses.fields(NetworkParams)})
+    res = solve(table)
+    kinds = set()
+    for i, p in enumerate(rows):
+        got = {f.name: getattr(res, f.name) for f in dataclasses.fields(res)}
+        lo, hi = got.pop("lambda_s_interval")
+        try:
+            own = solve(p)
+        except InfeasibleError:
+            kinds.add("infeasible")
+            assert got.pop("binding")[i] == "" and got.pop("m_at_optimum")[i] is None
+            assert all(math.isnan(c[i]) for c in [lo, hi, *got.values()])
+            continue
+        kinds.add(own.binding)
+        assert got.pop("binding")[i] == "+".join(own.binding)
+        assert got.pop("m_at_optimum")[i] == own.m_at_optimum
+        interval = own.lambda_s_interval or (None, None)
+        assert (_bits(lo[i]), _bits(hi[i])) == tuple(map(_bits, interval))
+        for name, column in got.items():
+            assert _bits(column[i]) == _bits(getattr(own, name)), (i, name)
+    assert kinds == {"infeasible", ("secondary",), ("primary", "secondary")}

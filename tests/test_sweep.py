@@ -6,13 +6,19 @@ parameter set per grid point, the scalar library calls, and ``csv`` to
 write the rows.  Both must write the same bytes.
 """
 
+import contextlib
 import csv
 import dataclasses
+import io
 import itertools
 import json
 import pathlib
+import sys
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfharvest import (InfeasibleError, NetworkParams, charging_geometry, load_params,
                        outage_primary, outage_secondary, solve, transmission_probability,
@@ -54,20 +60,24 @@ REFERENCE = {"analyze": (ANALYZE_COLUMNS, analyze_row),
 
 
 def per_row_csv(path, command, config, sweep_texts) -> None:
+    """Write the sweep's CSV row by row; raise the first failing row's error
+    before anything is written."""
     base = load_params(config)
     sweeps = [parse_sweep(s) for s in sweep_texts]
     names = [s.name for s in sweeps]
     columns, row = REFERENCE[command]
+    rows = []
+    for combo in itertools.product(*[s.values() for s in sweeps]):
+        point = dict(zip(names, combo))
+        p = validate(dataclasses.replace(base, **{k: float(v) for k, v in point.items()}),
+                     warn=False)
+        rows.append([_fmt(v) for v in [point[n] for n in names] + row(p)])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for line in _headers(command, base, sweeps=sweeps):
             fh.write(f"# {line}\n")
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(tuple(names) + columns)
-        for combo in itertools.product(*[s.values() for s in sweeps]):
-            point = dict(zip(names, combo))
-            p = validate(dataclasses.replace(base, **{k: float(v) for k, v in point.items()}),
-                         warn=False)
-            w.writerow([_fmt(v) for v in [point[n] for n in names] + row(p)])
+        w.writerows(rows)
 
 
 def assert_matches_reference(tmp_path, command, config, sweeps):
@@ -167,3 +177,65 @@ def test_sweeping_a_name_twice_fails(tmp_path, capsys, command, sweeps):
     assert capsys.readouterr().err == (
         f"rfharvest: error: parameter {name!r} is swept twice\n")
     assert not out.exists()
+
+
+# -- random sweeps, failing ones included ------------------------------------------
+
+EXTREMES = [0.0, 1e-300, 1e300]
+
+
+@st.composite
+def random_sweeps(draw):
+    """(command, config, sweeps): a perturbed configs/example.json, with
+    zeros, 1e+-300, r_g = 0 and noise among its values, and 1-3 sweep axes
+    of 2-3 points whose bounds may be extreme too."""
+    data = json.loads(open(EXAMPLE, encoding="utf-8").read())
+    names = sorted(data)
+    for name in draw(st.lists(st.sampled_from(names), max_size=3, unique=True)):
+        data[name] = draw(st.sampled_from(EXTREMES) | st.floats(0.5, 2.0).map(
+            lambda f, v=data[name]: v * f))
+    if draw(st.booleans()):
+        data["r_g"] = 0.0
+    if draw(st.booleans()):
+        data["noise"] = draw(st.sampled_from([0.01, 1e-300, 1e300]))
+    sweeps = []
+    for name in draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True)):
+        end = st.sampled_from(EXTREMES) | st.floats(0.0, 2.0 * data[name] + 1.0)
+        ends = sorted(draw(st.lists(end, min_size=2, max_size=2, unique=True)))
+        log = ":log" if ends[0] > 0 and draw(st.booleans()) else ""
+        sweeps.append(f"{name}={ends[0]!r}:{ends[1]!r}:{draw(st.integers(2, 3))}{log}")
+    return draw(st.sampled_from(["analyze", "optimize"])), data, sweeps
+
+
+def per_row_main(path, command, config, sweep_texts) -> int:
+    """:func:`per_row_csv` with ``main``'s exit code and error report."""
+    try:
+        per_row_csv(path, command, config, sweep_texts)
+    except ValueError as exc:
+        print(f"rfharvest: error: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
+def outcome(run, out):
+    """(exit code, stderr, CSV bytes or None) of ``run()``, which writes ``out``."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = run()
+    return code, err.getvalue(), out.read_bytes() if out.exists() else None
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(case=random_sweeps())
+def test_random_sweep_matches_per_row_reference(tmp_path_factory, case):
+    command, data, sweeps = case
+    tmp = tmp_path_factory.mktemp("random")
+    config = tmp / "config.json"
+    config.write_text(json.dumps(data))
+    out, ref = tmp / "columns.csv", tmp / "rows.csv"
+    argv = [command, "--config", str(config), "--out", str(out)]
+    for s in sweeps:
+        argv += ["--sweep", s]
+    expected = outcome(lambda: per_row_main(ref, command, str(config), sweeps), ref)
+    assert outcome(lambda: main(argv), out) == expected
