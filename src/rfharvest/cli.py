@@ -24,8 +24,8 @@ from .analytics import (outage_primary, outage_secondary, transmission_probabili
 from .optimize import solve
 from .params import (NetworkParams, _distinct, _scalar, _table, _take, charging_geometry,
                      load_params, params_to_dict, validate)
-from .sim import (ConditioningTooRareError, SimConfig, estimate_outage, estimate_p_t,
-                  interference_samples, outage_curve)
+from .sim import (ConditioningTooRareError, SimConfig, _outage_curves, estimate_outage,
+                  estimate_p_t, interference_samples)
 
 __all__ = ["main", "SweepSpec", "parse_sweep"]
 
@@ -142,8 +142,10 @@ def _fmt_column(values) -> list[str]:
     Each distinct value is converted to text once, and the texts are
     gathered back to the rows: in a float64 or integer column, values are
     distinct by bit pattern (``params._distinct``); ``"%.12g" % x`` equals
-    ``format(x, ".12g")``.  A column of Python ints (``m_slots``) is
-    deduplicated by value, as equal ints print alike.
+    ``format(x, ".12g")``.  A column of strings (``binding``) is its own
+    text.  One of Python ints, strings and None (``m_slots``,
+    ``m_at_optimum``) is deduplicated by value, as equal values of those
+    types print alike.
     """
     if isinstance(values, np.ndarray):
         if values.dtype.kind == "U":
@@ -157,9 +159,15 @@ def _fmt_column(values) -> list[str]:
                 texts = ["" if t == "nan" else t for t in texts]
             return texts if codes is None else list(map(texts.__getitem__, codes[1].tolist()))
         values = values.tolist()
-    if all(type(v) is int for v in values):
-        distinct = list(set(values))
-        return list(map(dict(zip(distinct, _percent("%d", distinct))).__getitem__, values))
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return values
+    if kinds <= {int, str, type(None)}:
+        distinct = set(values)
+        ints = [v for v in distinct if type(v) is int]
+        texts = dict(zip(ints, _percent("%d", ints)))
+        texts.update((v, _fmt(v)) for v in distinct if type(v) is not int)
+        return list(map(texts.__getitem__, values))
     return [_fmt(v) for v in values]
 
 
@@ -423,13 +431,16 @@ def _outage_study(args, figure, base, column, grid, fields, simulate) -> list:
 
 
 def _figure_9(args) -> list:
-    # One serial outage_curve per side: a dynamics run serves all 13 thresholds.
+    # Both sides step together in one lockstep batch, without the pool, and
+    # a dynamics run serves all 13 thresholds.
     base = _study_params(r_g=3.0, r_h=1.0, power_p=1.0, power_s=0.1, lambda_s=0.1)
     thetas = np.geomspace(1.0, 1000.0, 13)
+    curves = _outage_curves(base, [
+        (_sim_cfg(args, replications=8, slots=150, seed_index=k), side, None)
+        for k, side in enumerate(("primary", "secondary"))], thetas)
 
     def simulate(table, side, k):
-        return _est_columns(outage_curve(
-            base, _sim_cfg(args, replications=8, slots=150, seed_index=k), side, thetas))
+        return _est_columns(curves[k])
     return _outage_study(args, 9, base, "theta", thetas, ("theta_p", "theta_s"), simulate)
 
 

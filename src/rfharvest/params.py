@@ -415,8 +415,11 @@ def charging_geometry(params: NetworkParams) -> ChargingGeometry:
     _fail(p.r_h <= 0, lambda k: ParameterError(
         ["r_h must be positive to define charging geometry"]))
     threshold = p.eta * p.power_p * _pow(p.r_h, -p.alpha)
-    _fail(threshold <= 0, lambda k: ParameterError(
-        ["per-slot harvest is zero; power_p and eta must be positive"]))
+    _fail(threshold <= 0, lambda k: ParameterError([
+        "per-slot harvest is zero; power_p and eta must be positive"
+        if _at(p.eta * p.power_p, k) <= 0 else
+        f"per-slot harvest eta * power_p * r_h**-alpha underflows to zero at "
+        f"r_h={_at(p.r_h, k)!r}, alpha={_at(p.alpha, k)!r}"]))
     m = np.maximum(_each(math.ceil, (p.power_s / threshold) * (1.0 - 1e-12), dtype=object), 1)
     two, three = m >= 2, m >= 3
     h1 = np.where(two, _pow(p.power_s / (p.eta * p.power_p), -1.0 / p.alpha), np.nan)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -221,13 +221,14 @@ class SlotSimulator:
     draws each replication's chargers from its own stream, then makes one
     nearest-charger query and one battery update for the whole batch.
 
-    An optional ``dedicated_pt`` is an always-active extra charger in every
-    replication, used to realize a conditioned transmitter near a probe
-    receiver.
+    An optional ``dedicated_pt`` is an always-active extra charger in the
+    batch replications ``dedicated_reps`` (every one when omitted), used to
+    realize a conditioned transmitter near a probe receiver.
     """
 
     def __init__(self, params: NetworkParams, config: SimConfig,
-                 rngs: list[np.random.Generator], *, dedicated_pt: np.ndarray | None = None):
+                 rngs: list[np.random.Generator], *, dedicated_pt: np.ndarray | None = None,
+                 dedicated_reps: np.ndarray | None = None):
         self.params = params
         self.rngs = list(rngs)
         self.n_reps = len(self.rngs)
@@ -238,7 +239,8 @@ class SlotSimulator:
         self._reps = np.arange(self.n_reps)
         self.dedicated_pt = None if dedicated_pt is None else np.asarray(dedicated_pt, float)
         if self.dedicated_pt is not None:
-            self._dedicated_xy = np.tile(self.dedicated_pt, (self.n_reps, 1))
+            self._dedicated_rep = self._reps if dedicated_reps is None else dedicated_reps
+            self._dedicated_xy = np.tile(self.dedicated_pt, (len(self._dedicated_rep), 1))
         self._full_level = params.power_s * (1.0 - 1e-12)
         self._rg2 = params.r_g ** 2
         self._rh2 = params.r_h ** 2
@@ -275,16 +277,6 @@ class SlotSimulator:
         """Which drawn chargers are active: every one (tracers count them)."""
         return np.ones(len(self.pt_xy), dtype=bool)
 
-    def active_pt_xy(self, r: int) -> np.ndarray:
-        """Replication r's active network chargers this slot (dedicated point
-        excluded)."""
-        return self.pt_xy[self.pt_off[r]:self.pt_off[r + 1]]
-
-    def transmitting_st_xy(self, r: int) -> np.ndarray:
-        """Replication r's transmitting secondaries this slot."""
-        a, b = self.st_off[r], self.st_off[r + 1]
-        return self.st_xy[a:b][self.st_transmit[a:b]]
-
     # -- dynamics --------------------------------------------------------------
 
     def step(self) -> None:
@@ -295,7 +287,7 @@ class SlotSimulator:
         source_rep = np.repeat(self._reps, np.diff(self.pt_off))
         if self.dedicated_pt is not None:
             sources = np.concatenate([sources, self._dedicated_xy])
-            source_rep = np.concatenate([source_rep, self._reps])
+            source_rep = np.concatenate([source_rep, self._dedicated_rep])
 
         nearest2 = self._st_cells.nearest_d2(sources, source_rep)
 
@@ -332,8 +324,17 @@ def _rep_rngs(config: SimConfig) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in seeds]
 
 
-def _measured_slots(params: NetworkParams, config: SimConfig, measure, **sim_kwargs) -> None:
+def _measured_slots(params: NetworkParams, config: SimConfig, rngs: list[np.random.Generator],
+                    measure, *, dedicated_pt: np.ndarray | None = None,
+                    dedicated: np.ndarray | None = None) -> None:
     """The slot driver: calls ``measure(sim, reps)`` after each measured slot.
+
+    ``rngs`` holds the streams of the replications to run: one run's
+    :func:`_rep_rngs`, or several runs' back to back, which then step
+    together (the runs share ``params`` and every setting of ``config`` but
+    its seed and replication count).  An optional ``dedicated_pt`` is an
+    always-active charger in the replications where the boolean array
+    ``dedicated`` is set.
 
     The replications run in lockstep batches.  ``sim`` is the batch's
     :class:`SlotSimulator`, fresh for each batch, and the slice ``reps``
@@ -352,13 +353,14 @@ def _measured_slots(params: NetworkParams, config: SimConfig, measure, **sim_kwa
         raise ValueError(
             f"a replication would run {warmup} warm-up slots (m_slots = {m}) plus "
             f"{config.n_slots} measured slots, over the limit of {MAX_REPLICATION_SLOTS}")
-    rngs = _rep_rngs(config)
     window = config.resolved_window(params)
     expected = params.lambda_s * window * window  # inf, not OverflowError, if huge
     size = max(1, int(_BATCH_SECONDARIES / max(expected, 1.0)))
     for first in range(0, len(rngs), size):
-        sim = SlotSimulator(params, config, rngs[first:first + size], **sim_kwargs)
-        reps = slice(first, first + sim.n_reps)
+        reps = slice(first, min(first + size, len(rngs)))
+        marked = np.flatnonzero(dedicated[reps]) if dedicated_pt is not None else []
+        sim = SlotSimulator(params, config, rngs[reps], dedicated_reps=marked,
+                            dedicated_pt=dedicated_pt if len(marked) else None)
         for i in range(warmup + config.n_slots):
             sim.step()
             if i >= warmup:
@@ -390,7 +392,7 @@ def estimate_p_t(params: NetworkParams, config: SimConfig) -> SimEstimate:
         hits[reps] += np.bincount(sim.st_rep[sim.st_transmit], minlength=sim.n_reps)
         n_st[reps] = np.diff(sim.st_off)
 
-    _measured_slots(params, config, measure)
+    _measured_slots(params, config, _rep_rngs(config), measure)
     if not n_st.all():
         raise ValueError("window contains no secondary transmitters; "
                          "increase lambda_s or the window side")
@@ -398,16 +400,74 @@ def estimate_p_t(params: NetworkParams, config: SimConfig) -> SimEstimate:
     return _combine(hits / samples, samples)
 
 
+def _path_loss(xy: np.ndarray, alpha: float) -> np.ndarray:
+    """Path loss from each point of ``xy`` to the origin."""
+    # The window is centered at the origin, so the min-image distance to
+    # the origin is the plain norm.
+    return np.hypot(xy[:, 0], xy[:, 1]) ** -alpha
+
+
 def _shot_noise(xy: np.ndarray, power: float, alpha: float,
                 rng: np.random.Generator) -> float:
     """Aggregate received power at the origin with fresh unit-mean fading."""
     if len(xy) == 0:
         return 0.0
-    # The window is centered at the origin, so the min-image distance to
-    # the origin is the plain norm.
-    r = np.hypot(xy[:, 0], xy[:, 1])
-    g = rng.exponential(size=len(xy))
-    return float(np.sum(g * power * r ** -alpha))
+    return float(np.sum(rng.exponential(size=len(xy)) * power * _path_loss(xy, alpha)))
+
+
+def _batch_shot_noise(sim: SlotSimulator, kept: np.ndarray, chargers: np.ndarray,
+                      extra: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """This slot's aggregate power at the origin, with fresh unit-mean
+    fading, in each batch replication of ``kept`` (ascending): from its
+    active chargers where the batch mask ``chargers`` is set (0 elsewhere),
+    and from its transmitting secondaries.  Returns the two sums per
+    replication and ``extra`` further gains each, shape (len(kept), extra).
+
+    A replication draws all its gains from its own stream in one call: its
+    chargers', its transmitters', then the extra ones, the same stream as
+    :func:`_shot_noise` drawing set by set.  The path loss is computed once
+    for the batch, and each replication sums its own terms with
+    ``np.add.reduce``, the pairwise sum of ``np.sum``; ``np.add.reduceat``
+    adds each segment in sequence, which changes the last bits.
+    """
+    p = sim.params
+    n_pt, tx = np.diff(sim.pt_off), np.flatnonzero(sim.st_transmit)
+    n_tx = np.diff(np.searchsorted(tx, sim.st_off))
+    drawn = np.zeros(sim.n_reps, dtype=bool)
+    drawn[kept] = True
+    counts = np.empty((len(kept), 3), dtype=np.intp)
+    counts[:, 0] = n_pt[kept] * chargers[kept]
+    counts[:, 1] = n_tx[kept]
+    counts[:, 2] = extra
+    # Which set each gain belongs to: 0 chargers, 1 transmitters, 2 extra
+    kind = np.repeat(np.tile(np.arange(3), len(kept)), counts.ravel())
+    gains = np.empty(len(kind))
+    bounds = [0, *np.cumsum(counts.sum(axis=1)).tolist()]
+    for r, a, b in zip(kept.tolist(), bounds, bounds[1:]):
+        sim.rngs[r].standard_exponential(out=gains[a:b])
+    # ``take`` gathers the rows of a 2-D array about ten times faster than ``[]``
+    tx_xy = sim.st_xy.take(tx[np.repeat(drawn, n_tx)], axis=0)
+    pt_loss = _path_loss(sim.pt_xy, p.alpha)[np.repeat(drawn & chargers, n_pt)]
+    i_pt = gains[kind == 0] * p.power_p * pt_loss
+    i_tx = gains[kind == 1] * p.power_s * _path_loss(tx_xy, p.alpha)
+    return (_segment_sums(i_pt, counts[:, 0]), _segment_sums(i_tx, counts[:, 1]),
+            gains[kind == 2].reshape(len(kept), extra))
+
+
+def _segment_sums(terms: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The sums of the consecutive runs of ``counts`` terms, each by ``np.add.reduce``."""
+    bounds = [0, *np.cumsum(counts).tolist()]
+    return np.array([np.add.reduce(terms[a:b]) for a, b in itertools.pairwise(bounds)],
+                    dtype=float)
+
+
+def _by_replication(values: list, owners: list, n_reps: int) -> list[np.ndarray]:
+    """Samples gathered slot by slot, ``values[i]`` measured in the
+    replications ``owners[i]``, as one array per replication in slot order."""
+    owner = np.concatenate(owners)
+    order = np.argsort(owner, kind="stable")
+    return np.split(np.concatenate(values)[order],
+                    np.cumsum(np.bincount(owner, minlength=n_reps))[:-1])
 
 
 def _cluster_rates(params: NetworkParams, p_t: float) -> tuple[float, float]:
@@ -474,15 +534,15 @@ def interference_samples(params: NetworkParams, config: SimConfig,
     if mode not in ("exact", "approx", "cluster"):
         raise ValueError(f"unknown interference mode {mode!r}")
     if mode == "exact":
-        samples = [[] for _ in range(config.n_replications)]
+        values, owners = [], []
 
         def measure(sim, reps):
-            for r, out in enumerate(samples[reps]):
-                out.append(_shot_noise(sim.transmitting_st_xy(r), p.power_s, p.alpha,
-                                       sim.rngs[r]))
+            everyone = np.arange(sim.n_reps)
+            values.append(_batch_shot_noise(sim, everyone, np.zeros(sim.n_reps, bool), 0)[1])
+            owners.append(everyone + reps.start)
 
-        _measured_slots(p, config, measure)
-        return np.asarray(samples).ravel()
+        _measured_slots(p, config, _rep_rngs(config), measure)
+        return np.concatenate(_by_replication(values, owners, config.n_replications))
     window = config.resolved_window(p)
     if mode == "cluster":
         kappa, daughters = _cluster_rates(p, transmission_probability(p).conservative)
@@ -498,49 +558,60 @@ def interference_samples(params: NetworkParams, config: SimConfig,
                        for rng in _rep_rngs(config) for _ in range(config.n_slots)])
 
 
-def _sinr_samples(params: NetworkParams, config: SimConfig, side: str,
-                  conditioning: str) -> list[np.ndarray]:
-    """SINR samples at a probe receiver at the origin, one array per replication."""
+def _sinr_samples(params: NetworkParams, runs) -> list[list[np.ndarray]]:
+    """SINR samples at a probe receiver at the origin, one array per
+    replication, for each checked ``(config, side, conditioning)`` of
+    ``runs``.
+
+    The runs step together: their replications make one lockstep batch (or
+    several, as the memory cap allows), and a replication draws from its
+    own stream as it would alone, so no run changes another's samples.
+    """
     p = params
-    signal_power, link_dist = (p.power_p, p.d_p) if side == "primary" else (p.power_s, p.d_s)
+    counts = [config.n_replications for config, _, _ in runs]
+
+    def per_rep(values) -> np.ndarray:
+        return np.repeat(values, counts)
+
+    primary = per_rep([side == "primary" for _, side, _ in runs])
+    signal_power = np.where(primary, p.power_p, p.power_s)
     # A receiver at its transmitter has infinite SINR, so it never fails.
-    path_gain = link_dist ** -p.alpha if link_dist > 0 else math.inf
-    reject = side == "secondary" and conditioning == "rejection" and p.r_g > 0
+    path_gain = per_rep([d ** -p.alpha if d > 0 else math.inf
+                         for d in (p.d_p if side == "primary" else p.d_s for _, side, _ in runs)])
+    reject = per_rep([side == "secondary" and conditioning == "rejection" and p.r_g > 0
+                      for _, side, conditioning in runs])
+    chargers = per_rep([side != "wit" for _, side, _ in runs])
     rg2 = p.r_g ** 2
-    sim_kwargs = {"dedicated_pt": np.array([p.d_p, 0.0])} if side == "primary" else {}
-    samples = [[] for _ in range(config.n_replications)]
+    values, owners = [], []
 
     def measure(sim, reps):
-        for r, out in enumerate(samples[reps]):
-            rng = sim.rngs[r]
-            act = sim.active_pt_xy(r)
-            # _min_image_d2 overwrites its inputs, and ``act`` feeds the shot noise below.
-            if reject and len(act) and _min_image_d2(act[:, 0] - link_dist, act[:, 1].copy(),
-                                                     sim.window).min() <= rg2:
-                continue
-            i_p = 0.0 if side == "wit" else _shot_noise(act, p.power_p, p.alpha, rng)
-            i_s = _shot_noise(sim.transmitting_st_xy(r), p.power_s, p.alpha, rng)
-            g = rng.exponential()
-            denom = i_p + i_s + p.noise
-            signal = g * signal_power * path_gain
-            out.append(signal / denom if denom > 0 else np.inf)
+        # A rejecting replication skips the slot, drawing nothing, while an
+        # active charger is within r_g of the link's transmitter.
+        near = np.zeros(sim.n_reps, dtype=bool)
+        if reject[reps].any() and len(sim.pt_xy):
+            pt_off = np.asarray(sim.pt_off)
+            any_pt = pt_off[:-1] < pt_off[1:]
+            # _min_image_d2 overwrites its inputs, and pt_xy feeds the shot noise below.
+            d2 = _min_image_d2(sim.pt_xy[:, 0] - p.d_s, sim.pt_xy[:, 1].copy(), sim.window)
+            near[any_pt] = np.minimum.reduceat(d2, pt_off[:-1][any_pt]) <= rg2
+        kept = np.flatnonzero(~(reject[reps] & near))
+        i_pt, i_tx, g = _batch_shot_noise(sim, kept, chargers[reps], 1)
+        denom = i_pt + i_tx + p.noise
+        signal = g[:, 0] * signal_power[reps][kept] * path_gain[reps][kept]
+        sinr = np.full(len(kept), np.inf)
+        values.append(np.divide(signal, denom, out=sinr, where=denom > 0))
+        owners.append(kept + reps.start)
 
-    _measured_slots(p, config, measure, **sim_kwargs)
-    return [np.asarray(out) for out in samples]
+    rngs = [rng for config, _, _ in runs for rng in _rep_rngs(config)]
+    _measured_slots(p, runs[0][0], rngs, measure, dedicated_pt=np.array([p.d_p, 0.0]),
+                    dedicated=primary)
+    samples = _by_replication(values, owners, len(rngs))
+    return [samples[a:b] for a, b in itertools.pairwise(itertools.accumulate(counts, initial=0))]
 
 
-def outage_curve(params: NetworkParams, config: SimConfig, side: str,
-                 thetas, *, conditioning: str | None = None) -> list[SimEstimate]:
-    """Simulated outage probabilities at several SINR thresholds.
-
-    One dynamics run per replication supplies the SINR samples for every
-    threshold.  ``side`` selects the probe link: 'primary' (extra always-on
-    charger at distance d_p), 'secondary' (transmitter at distance d_s,
-    slots rejected while any active charger is within r_g of it), or 'wit'
-    (chargers on a dedicated band contribute no interference).
-    ``conditioning`` may be set to 'none' for an unconditioned secondary
-    estimate.
-    """
+def _checked_run(params: NetworkParams, config: SimConfig, side: str,
+                 conditioning: str | None) -> tuple[SimConfig, str, str]:
+    """One outage run, with its conditioning resolved; raises on a bad one."""
     if side not in ("primary", "secondary", "wit"):
         raise ValueError(f"unknown side {side!r}")
     if conditioning is None:
@@ -555,23 +626,59 @@ def outage_curve(params: NetworkParams, config: SimConfig, side: str,
         if pg < 1e-4:
             raise ConditioningTooRareError(
                 f"conditioning event too rare: expected acceptance rate {pg:.3e}")
+    # The probe's torus distances (its conditioning, the dedicated charger)
+    # hold only for a link shorter than half the window.
+    link = "d_p" if side == "primary" else "d_s"
+    dist, window = getattr(params, link), config.resolved_window(params)
+    if not dist < window / 2.0:
+        raise ValueError(f"link distance {link}={dist!r} must be smaller than half the "
+                         f"window side {window!r}")
+    return config, side, conditioning
 
+
+def _outage_curves(params: NetworkParams, runs, thetas) -> list[list[SimEstimate]]:
+    """:func:`outage_curve` of each ``(config, side, conditioning)`` of
+    ``runs``, the runs stepped together in one lockstep batch; their
+    configs may differ in the seed and the replication count only."""
+    runs = [_checked_run(params, *run) for run in runs]
+    if len({replace(config, master_seed=0, n_replications=1) for config, _, _ in runs}) > 1:
+        raise ValueError("outage runs stepped together may differ only in their seeds "
+                         "and replication counts")
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    per_theta_means = [[] for _ in thetas]
-    per_theta_counts = [[] for _ in thetas]
-    total_slots = config.n_replications * config.n_slots
-    total_kept = 0
-    for sinr in _sinr_samples(params, config, side, conditioning):
-        total_kept += len(sinr)
-        if len(sinr) == 0:
-            continue
-        for i, th in enumerate(thetas):
-            per_theta_means[i].append(float(np.mean(sinr < th)))
-            per_theta_counts[i].append(len(sinr))
-    if total_kept == 0 or total_kept / total_slots < 1e-4:
-        raise ConditioningTooRareError(
-            f"conditioning event too rare: kept {total_kept} of {total_slots} slots")
-    return [_combine(per_theta_means[i], per_theta_counts[i]) for i in range(len(thetas))]
+    curves = []
+    for (config, _, _), samples in zip(runs, _sinr_samples(params, runs)):
+        per_theta_means = [[] for _ in thetas]
+        per_theta_counts = [[] for _ in thetas]
+        total_slots = config.n_replications * config.n_slots
+        total_kept = 0
+        for sinr in samples:
+            total_kept += len(sinr)
+            if len(sinr) == 0:
+                continue
+            for i, th in enumerate(thetas):
+                per_theta_means[i].append(float(np.mean(sinr < th)))
+                per_theta_counts[i].append(len(sinr))
+        if total_kept == 0 or total_kept / total_slots < 1e-4:
+            raise ConditioningTooRareError(
+                f"conditioning event too rare: kept {total_kept} of {total_slots} slots")
+        curves.append([_combine(per_theta_means[i], per_theta_counts[i])
+                       for i in range(len(thetas))])
+    return curves
+
+
+def outage_curve(params: NetworkParams, config: SimConfig, side: str,
+                 thetas, *, conditioning: str | None = None) -> list[SimEstimate]:
+    """Simulated outage probabilities at several SINR thresholds.
+
+    One dynamics run per replication supplies the SINR samples for every
+    threshold.  ``side`` selects the probe link: 'primary' (extra always-on
+    charger at distance d_p), 'secondary' (transmitter at distance d_s,
+    slots rejected while any active charger is within r_g of it), or 'wit'
+    (chargers on a dedicated band contribute no interference).
+    ``conditioning`` may be set to 'none' for an unconditioned secondary
+    estimate.  The link distance must be below half the window side.
+    """
+    return _outage_curves(params, [(config, side, conditioning)], thetas)[0]
 
 
 def estimate_outage(params: NetworkParams, config: SimConfig, side: str) -> SimEstimate:

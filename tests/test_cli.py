@@ -206,6 +206,24 @@ def test_unresolvable_charging_radius_fails_cleanly(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("rfharvest: error: charging radii")
 
 
+@pytest.mark.parametrize("field, value, message", [
+    # eta * power_p is positive, but r_h**-alpha underflows
+    ("r_h", 1e300, "per-slot harvest eta * power_p * r_h**-alpha underflows to zero at "
+                   "r_h=1e+300, alpha=4.0"),
+    ("power_p", 0.0, "per-slot harvest is zero; power_p and eta must be positive"),
+])
+@pytest.mark.filterwarnings("ignore::rfharvest.RegimeWarning")  # pi r_h^2 lambda_p = inf
+def test_zero_harvest_fails_cleanly(tmp_path, capsys, field, value, message):
+    data = json.loads(pathlib.Path(EXAMPLE).read_text())
+    data.update({"r_g": 0.0, field: value})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    out = tmp_path / "x.csv"
+    assert main(["analyze", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"rfharvest: error: {message}\n"
+    assert not out.exists()
+
+
 # -- simulate ----------------------------------------------------------------------
 
 SIM_ARGS = ["--sweep", "power_s=0.05:0.15:3", "--replications", "2",
@@ -263,6 +281,31 @@ def test_simulate_bad_warmup_or_window_fails_cleanly(config_path, tmp_path, caps
                "--slots", "4", flag, value])
     assert rc == 2
     assert capsys.readouterr().err == f"rfharvest: error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target, overrides, sweep, message", [
+    # before: a numpy overflow warning and an outage of 1
+    ("outage-secondary", {"d_s": 1e300}, [], "d_s=1e+300"),
+    # before: rows 12.75 and 25 simulated on a torus they do not fit
+    ("outage-wit", {}, ["--sweep", "d_s=0.5:25:3"], "d_s=12.75"),
+    ("outage-primary", {"r_g": 0.0, "d_p": 10.0}, [], "d_p=10.0"),
+])
+def test_simulate_link_beyond_half_the_window_fails_cleanly(tmp_path, capsys, monkeypatch,
+                                                            target, overrides, sweep, message):
+    monkeypatch.setenv("RFH_THREADS", "1")
+    data = json.loads(pathlib.Path(EXAMPLE).read_text())
+    data.update(overrides)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    out = tmp_path / "x.csv"
+    rc = main(["simulate", "--config", str(config), "--out", str(out), "--target", target,
+               "--window", "20", "--replications", "2", "--slots", "5", "--warmup", "5"]
+              + sweep)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"rfharvest: error: link distance {message} must be smaller than half the window "
+        "side 20.0\n")
     assert not out.exists()
 
 
@@ -554,6 +597,10 @@ def test_csv_writer_matches_per_value_format(tmp_path):
         "huge": np.array([49999999999950000373104640, 1, 2**64, -(2**70)] * (n // 4 + 1),
                          dtype=object)[:n],
         "word": np.array(["ok", "infeasible", "p1+p2", ""])[rows % 4],
+        # object columns as optimize writes them: m_at_optimum and binding
+        "m_or_none": np.array([None, 1, 2, None, 3, 2**70], dtype=object)[rows % 6],
+        "binding": np.array(["eps_p", "eps_p+eps_s", "", "eps_s"], dtype=object)[rows % 4],
+        "str_int_none": np.array(["ok", None, 7, "", -3], dtype=object)[rows % 5],
         "mixed": np.array([None, -0.0, np.nan, 3, True, "x"] * (n // 6 + 1),
                           dtype=object)[:n],
         "flag": rows % 3 == 0,

@@ -17,6 +17,7 @@ import tempfile
 import pytest
 
 from rfharvest import cli
+from rfharvest import sim as sim_module
 from rfharvest.cli import main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -98,11 +99,26 @@ def test_pooled_figures_unchanged_by_worker_count(name, workers, tmp_path, monke
 
 
 def test_figure_9_starts_no_process_pool(tmp_path, monkeypatch):
-    # its two serial outage_curve runs fork no worker to add to its memory
+    # its two outage runs, stepped together, fork no worker to add to its memory
     monkeypatch.setenv("RFH_THREADS", "2")
     monkeypatch.setattr(cli, "ProcessPoolExecutor",
                         lambda *a, **kw: pytest.fail("figure 9 started a process pool"))
     assert_golden("figure9", tmp_path)
+
+
+def test_figure_9_steps_both_sides_together(tmp_path, monkeypatch):
+    # At the default settings: 100 warm-up and 150 measured slots, each one
+    # step of a single batch of both sides' 8 replications
+    batches = []
+    step = sim_module.SlotSimulator.step
+
+    def counted(sim):
+        batches.append(sim.n_reps)
+        step(sim)
+
+    monkeypatch.setattr(sim_module.SlotSimulator, "step", counted)
+    assert main(["figure", "--id", "9", "--out-dir", str(tmp_path)]) == 0
+    assert batches == [16] * 250
 
 
 def test_figure_all_writes_every_study_in_id_order(tmp_path, capsys):

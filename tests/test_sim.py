@@ -25,6 +25,17 @@ def _torus_d2(a, b, side):
     return _min_image_d2(a[:, 0, None] - b[None, :, 0], a[:, 1, None] - b[None, :, 1], side)
 
 
+def active_pt_xy(sim, r):
+    """Replication r's active network chargers this slot (dedicated point excluded)."""
+    return sim.pt_xy[sim.pt_off[r]:sim.pt_off[r + 1]]
+
+
+def transmitting_st_xy(sim, r):
+    """Replication r's transmitting secondaries this slot."""
+    a, b = sim.st_off[r], sim.st_off[r + 1]
+    return sim.st_xy[a:b][sim.st_transmit[a:b]]
+
+
 def small_cfg(**kw):
     base = dict(window_side=60.0, n_slots=20, n_replications=3, master_seed=9,
                 warmup=20)
@@ -212,7 +223,7 @@ def test_lockstep_matches_replications_stepped_alone(n_reps, r_g, lambda_p, wind
             assert np.array_equal(batch.battery[st], sim.battery)
             assert np.array_equal(batch.st_transmit[st], sim.st_transmit)
             assert np.array_equal(batch.st_harvest[st], sim.st_harvest)
-            assert np.array_equal(batch.transmitting_st_xy(r), sim.transmitting_st_xy(0))
+            assert np.array_equal(transmitting_st_xy(batch, r), transmitting_st_xy(sim, 0))
             chargerless += len(sim.pt_xy) == 0
         transmits += batch.st_transmit.sum()
         harvests += batch.st_harvest.sum()
@@ -294,6 +305,130 @@ def test_batches_stay_within_one_wide_replication(fig9_params):
     assert peak(3) <= 1.5 * peak(1)
 
 
+def reference_shot_noise(xy, power, alpha, rng):
+    """The per-replication shot noise the batched probe replaced."""
+    if len(xy) == 0:
+        return 0.0
+    r = np.hypot(xy[:, 0], xy[:, 1])
+    g = rng.exponential(size=len(xy))
+    return float(np.sum(g * power * r ** -alpha))
+
+
+def reference_slots(p, cfg, measure, **kw):
+    """Each replication stepped alone, ``measure(sim, rng)`` appending one
+    sample (or none) after each measured slot; one array per replication."""
+    warmup = cfg.resolved_warmup(charging_geometry(p).m_slots)
+    samples = []
+    for rng in _rep_rngs(cfg):
+        sim = SlotSimulator(p, cfg, [rng], **kw)
+        out = []
+        for i in range(warmup + cfg.n_slots):
+            sim.step()
+            if i >= warmup:
+                measure(sim, rng, out)
+        samples.append(np.asarray(out, dtype=float))
+    return samples
+
+
+def reference_sinr_samples(p, cfg, side, conditioning, seen):
+    """The per-replication SINR loop the batched probe replaced; counts in
+    ``seen`` the slots without chargers, without transmitters, and rejected."""
+    signal_power, link_dist = (p.power_p, p.d_p) if side == "primary" else (p.power_s, p.d_s)
+    path_gain = link_dist ** -p.alpha if link_dist > 0 else math.inf
+    reject = side == "secondary" and conditioning == "rejection" and p.r_g > 0
+
+    def measure(sim, rng, out):
+        act = active_pt_xy(sim, 0)
+        tx = transmitting_st_xy(sim, 0)
+        seen["chargerless"] += len(act) == 0
+        seen["silent"] += len(tx) == 0
+        if reject and len(act) and _min_image_d2(act[:, 0] - link_dist, act[:, 1].copy(),
+                                                 sim.window).min() <= p.r_g ** 2:
+            seen["rejected"] += 1
+            return
+        i_p = 0.0 if side == "wit" else reference_shot_noise(act, p.power_p, p.alpha, rng)
+        i_s = reference_shot_noise(tx, p.power_s, p.alpha, rng)
+        g = rng.exponential()
+        denom = i_p + i_s + p.noise
+        signal = g * signal_power * path_gain
+        out.append(signal / denom if denom > 0 else np.inf)
+
+    kw = {"dedicated_pt": np.array([p.d_p, 0.0])} if side == "primary" else {}
+    return reference_slots(p, cfg, measure, **kw)
+
+
+def assert_bit_identical(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+PROBE_RUNS = [("primary", "none"), ("secondary", "rejection"), ("secondary", "none"),
+              ("wit", "none")]
+
+
+@pytest.mark.parametrize("batch_secondaries", [2 ** 17, 40])
+@pytest.mark.parametrize("noise", [0.0, 1e-3])
+def test_batched_probe_matches_per_replication_loop(monkeypatch, batch_secondaries, noise):
+    # About 20 secondaries and 1.6 chargers per replication-slot: some
+    # slots draw no charger, some have no transmitter.  At 40 secondaries
+    # a batch holds two replications, so each run of five splits across
+    # three batches and some batches hold two runs.
+    p = make_params(lambda_s=0.05, lambda_p_total=0.004, power_p=2.0, noise=noise)
+    monkeypatch.setattr(sim_module, "_BATCH_SECONDARIES", batch_secondaries)
+    runs = [(small_cfg(window_side=20.0, n_slots=30, n_replications=5, warmup=10,
+                       master_seed=40 + k), side, conditioning)
+            for k, (side, conditioning) in enumerate(PROBE_RUNS)]
+    together = sim_module._sinr_samples(p, runs)
+    seen = dict.fromkeys(("chargerless", "silent", "rejected"), 0)
+    for run, got in zip(runs, together):
+        want = reference_sinr_samples(p, *run, seen)
+        assert_bit_identical(got, want)
+        assert_bit_identical(sim_module._sinr_samples(p, [run])[0], want)
+    assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize("batch_secondaries", [2 ** 17, 40])
+@pytest.mark.parametrize("lambda_s", [0.05, 1.0])
+def test_batched_interference_matches_per_replication_loop(monkeypatch, batch_secondaries,
+                                                          lambda_s):
+    # At lambda_s 0.05 some slots have no transmitter; at 1.0 the sums run
+    # long enough that a sum in another order would differ in its last bits
+    p = make_params(lambda_s=lambda_s, lambda_p_total=0.004, power_p=2.0)
+    monkeypatch.setattr(sim_module, "_BATCH_SECONDARIES", batch_secondaries)
+    cfg = small_cfg(window_side=20.0, n_slots=30, n_replications=5, warmup=10)
+    transmitters = []
+
+    def measure(sim, rng, out):
+        xy = transmitting_st_xy(sim, 0)
+        transmitters.append(len(xy))
+        out.append(reference_shot_noise(xy, p.power_s, p.alpha, rng))
+
+    want = np.concatenate(reference_slots(p, cfg, measure))
+    got = interference_samples(p, cfg, "exact")
+    assert got.tobytes() == want.tobytes()
+    assert min(transmitters) == 0 if lambda_s < 0.1 else max(transmitters) >= 10
+
+
+def test_outage_runs_stepped_together_share_their_settings():
+    p = make_params()
+    runs = [(small_cfg(), "primary", None), (small_cfg(n_slots=21), "secondary", None)]
+    with pytest.raises(ValueError, match="may differ only in their seeds"):
+        sim_module._outage_curves(p, runs, [1.0])
+
+
+@pytest.mark.parametrize("side, field", [("primary", "d_p"), ("secondary", "d_s"),
+                                         ("wit", "d_s")])
+def test_link_beyond_half_the_window_is_refused(side, field):
+    # r_g = 0 puts no bound on d_p below the window's
+    p = make_params(r_g=0.0, lambda_p_total=0.001, **{field: 10.0})
+    with pytest.raises(ValueError, match=f"link distance {field}=10.0 must be smaller than "
+                                         "half the window side 20.0"):
+        outage_curve(p, small_cfg(window_side=20.0), side, [1.0])
+    outage_curve(replace_params(p, **{field: 9.99}), small_cfg(window_side=20.0, n_slots=2,
+                                                               warmup=0), side, [1.0])
+
+
 # -- slot dynamics -----------------------------------------------------------------
 
 
@@ -343,9 +478,9 @@ def test_modes_partition_and_battery_capped():
         assert sim.battery.max() <= p.power_s + 1e-12
         if sim.st_transmit.any():
             # no transmitter may sit inside any guard zone
-            act = sim.active_pt_xy(0)
+            act = active_pt_xy(sim, 0)
             if len(act):
-                d2 = _torus_d2(sim.transmitting_st_xy(0), act, sim.window)
+                d2 = _torus_d2(transmitting_st_xy(sim, 0), act, sim.window)
                 assert d2.min() > p.r_g ** 2
 
 
