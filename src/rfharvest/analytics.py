@@ -210,6 +210,16 @@ class OutageResult:
     clamped: bool = False
 
 
+def _tau(params: NetworkParams, interference: float, theta: float, d: float,
+         power: float) -> float:
+    """Outage exponent of a link of length ``d``, SINR target ``theta`` and
+    transmit power ``power`` against an interfering density ``interference``
+    (scaled to the link's power) and the noise."""
+    p = params
+    tau = interference * _pow(theta, 2.0 / p.alpha) * _pow(d, 2) * _each(phi, p.alpha)
+    return tau + theta * _pow(d, p.alpha) * p.noise / power
+
+
 def tau_primary(params: NetworkParams, active_density: float) -> float:
     """Exponent of the primary-receiver outage probability.
 
@@ -219,9 +229,7 @@ def tau_primary(params: NetworkParams, active_density: float) -> float:
     p = params
     interference = (p.lambda_p
                     + active_density * _pow(p.power_s / p.power_p, 2.0 / p.alpha))
-    tau = (interference * _pow(p.theta_p, 2.0 / p.alpha) * _pow(p.d_p, 2)
-           * _each(phi, p.alpha))
-    return tau + p.theta_p * _pow(p.d_p, p.alpha) * p.noise / p.power_p
+    return _tau(p, interference, p.theta_p, p.d_p, p.power_p)
 
 
 def outage_primary(params: NetworkParams, active_density: float) -> OutageResult:
@@ -232,10 +240,9 @@ def outage_primary(params: NetworkParams, active_density: float) -> OutageResult
 def tau_secondary(params: NetworkParams, active_density: float) -> float:
     """Exponent of the unconditioned secondary-receiver outage probability."""
     p = params
-    interference = (p.lambda_p * (p.power_s / p.power_p) ** (-2.0 / p.alpha)
+    interference = (p.lambda_p * _pow(p.power_s / p.power_p, -2.0 / p.alpha)
                     + active_density)
-    tau = interference * p.theta_s ** (2.0 / p.alpha) * p.d_s ** 2 * phi(p.alpha)
-    return tau + p.theta_s * p.d_s ** p.alpha * p.noise / p.power_s
+    return _tau(p, interference, p.theta_s, p.d_s, p.power_s)
 
 
 # -- the guard hole of the conditional secondary outage ---------------------
@@ -451,8 +458,7 @@ def outage_secondary_paper(params: NetworkParams, active_density: float) -> Outa
 def tau_wit(params: NetworkParams, active_density: float) -> float:
     """Outage exponent when chargers occupy a dedicated band (no cross-talk)."""
     p = params
-    tau = active_density * p.theta_s ** (2.0 / p.alpha) * p.d_s ** 2 * phi(p.alpha)
-    return tau + p.theta_s * p.d_s ** p.alpha * p.noise / p.power_s
+    return _tau(p, active_density, p.theta_s, p.d_s, p.power_s)
 
 
 def wit_outage(params: NetworkParams, active_density: float) -> OutageResult:

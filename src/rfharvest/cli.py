@@ -302,6 +302,9 @@ def _cdf(params: NetworkParams, config: SimConfig) -> dict:
 
 
 def cmd_simulate(args) -> int:
+    if args.mode != "exact" and args.target != "interference":
+        raise ValueError(f"--mode {args.mode} applies to --target interference only, "
+                         f"not {args.target}")
     config = SimConfig(n_slots=args.slots, n_replications=args.replications,
                        window_side=args.window, warmup=args.warmup)
     header_kw = dict(seed=args.seed, replications=args.replications, slots=args.slots,

@@ -407,67 +407,27 @@ def _path_loss(xy: np.ndarray, alpha: float) -> np.ndarray:
     return np.hypot(xy[:, 0], xy[:, 1]) ** -alpha
 
 
+def _faded_sum(gains: np.ndarray, power: float, loss: np.ndarray) -> float:
+    """Aggregate received power of transmitters of path losses ``loss`` under
+    the unit-mean fading ``gains``, summed as ``np.sum`` sums."""
+    return float(np.add.reduce(gains * power * loss))
+
+
 def _shot_noise(xy: np.ndarray, power: float, alpha: float,
                 rng: np.random.Generator) -> float:
     """Aggregate received power at the origin with fresh unit-mean fading."""
-    if len(xy) == 0:
-        return 0.0
-    return float(np.sum(rng.exponential(size=len(xy)) * power * _path_loss(xy, alpha)))
+    return _faded_sum(rng.exponential(size=len(xy)), power, _path_loss(xy, alpha))
 
 
-def _batch_shot_noise(sim: SlotSimulator, kept: np.ndarray, chargers: np.ndarray,
-                      extra: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """This slot's aggregate power at the origin, with fresh unit-mean
-    fading, in each batch replication of ``kept`` (ascending): from its
-    active chargers where the batch mask ``chargers`` is set (0 elsewhere),
-    and from its transmitting secondaries.  Returns the two sums per
-    replication and ``extra`` further gains each, shape (len(kept), extra).
-
-    A replication draws all its gains from its own stream in one call: its
-    chargers', its transmitters', then the extra ones, the same stream as
-    :func:`_shot_noise` drawing set by set.  The path loss is computed once
-    for the batch, and each replication sums its own terms with
-    ``np.add.reduce``, the pairwise sum of ``np.sum``; ``np.add.reduceat``
-    adds each segment in sequence, which changes the last bits.
-    """
-    p = sim.params
-    n_pt, tx = np.diff(sim.pt_off), np.flatnonzero(sim.st_transmit)
-    n_tx = np.diff(np.searchsorted(tx, sim.st_off))
-    drawn = np.zeros(sim.n_reps, dtype=bool)
-    drawn[kept] = True
-    counts = np.empty((len(kept), 3), dtype=np.intp)
-    counts[:, 0] = n_pt[kept] * chargers[kept]
-    counts[:, 1] = n_tx[kept]
-    counts[:, 2] = extra
-    # Which set each gain belongs to: 0 chargers, 1 transmitters, 2 extra
-    kind = np.repeat(np.tile(np.arange(3), len(kept)), counts.ravel())
-    gains = np.empty(len(kind))
-    bounds = [0, *np.cumsum(counts.sum(axis=1)).tolist()]
-    for r, a, b in zip(kept.tolist(), bounds, bounds[1:]):
-        sim.rngs[r].standard_exponential(out=gains[a:b])
+def _slot_losses(sim: SlotSimulator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """This slot's path losses to the origin of the batch's chargers and of
+    its transmitting secondaries, with the transmitters' replication offsets
+    (replication r's are ``tx_off[r]:tx_off[r + 1]``)."""
+    alpha = sim.params.alpha
+    tx = np.flatnonzero(sim.st_transmit)
     # ``take`` gathers the rows of a 2-D array about ten times faster than ``[]``
-    tx_xy = sim.st_xy.take(tx[np.repeat(drawn, n_tx)], axis=0)
-    pt_loss = _path_loss(sim.pt_xy, p.alpha)[np.repeat(drawn & chargers, n_pt)]
-    i_pt = gains[kind == 0] * p.power_p * pt_loss
-    i_tx = gains[kind == 1] * p.power_s * _path_loss(tx_xy, p.alpha)
-    return (_segment_sums(i_pt, counts[:, 0]), _segment_sums(i_tx, counts[:, 1]),
-            gains[kind == 2].reshape(len(kept), extra))
-
-
-def _segment_sums(terms: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The sums of the consecutive runs of ``counts`` terms, each by ``np.add.reduce``."""
-    bounds = [0, *np.cumsum(counts).tolist()]
-    return np.array([np.add.reduce(terms[a:b]) for a, b in itertools.pairwise(bounds)],
-                    dtype=float)
-
-
-def _by_replication(values: list, owners: list, n_reps: int) -> list[np.ndarray]:
-    """Samples gathered slot by slot, ``values[i]`` measured in the
-    replications ``owners[i]``, as one array per replication in slot order."""
-    owner = np.concatenate(owners)
-    order = np.argsort(owner, kind="stable")
-    return np.split(np.concatenate(values)[order],
-                    np.cumsum(np.bincount(owner, minlength=n_reps))[:-1])
+    return (_path_loss(sim.pt_xy, alpha), _path_loss(sim.st_xy.take(tx, axis=0), alpha),
+            np.searchsorted(tx, sim.st_off))
 
 
 def _cluster_rates(params: NetworkParams, p_t: float) -> tuple[float, float]:
@@ -534,15 +494,17 @@ def interference_samples(params: NetworkParams, config: SimConfig,
     if mode not in ("exact", "approx", "cluster"):
         raise ValueError(f"unknown interference mode {mode!r}")
     if mode == "exact":
-        values, owners = [], []
+        samples = [[] for _ in range(config.n_replications)]
 
         def measure(sim, reps):
-            everyone = np.arange(sim.n_reps)
-            values.append(_batch_shot_noise(sim, everyone, np.zeros(sim.n_reps, bool), 0)[1])
-            owners.append(everyone + reps.start)
+            _, tx_loss, tx_off = _slot_losses(sim)
+            for r, rng in enumerate(sim.rngs):
+                a, b = tx_off[r], tx_off[r + 1]
+                samples[reps.start + r].append(
+                    _faded_sum(rng.standard_exponential(b - a), p.power_s, tx_loss[a:b]))
 
         _measured_slots(p, config, _rep_rngs(config), measure)
-        return np.concatenate(_by_replication(values, owners, config.n_replications))
+        return np.asarray(samples, dtype=float).ravel()
     window = config.resolved_window(p)
     if mode == "cluster":
         kappa, daughters = _cluster_rates(p, transmission_probability(p).conservative)
@@ -582,30 +544,34 @@ def _sinr_samples(params: NetworkParams, runs) -> list[list[np.ndarray]]:
                       for _, side, conditioning in runs])
     chargers = per_rep([side != "wit" for _, side, _ in runs])
     rg2 = p.r_g ** 2
-    values, owners = [], []
+    samples = [[] for _ in reject]
 
     def measure(sim, reps):
-        # A rejecting replication skips the slot, drawing nothing, while an
-        # active charger is within r_g of the link's transmitter.
-        near = np.zeros(sim.n_reps, dtype=bool)
-        if reject[reps].any() and len(sim.pt_xy):
-            pt_off = np.asarray(sim.pt_off)
-            any_pt = pt_off[:-1] < pt_off[1:]
-            # _min_image_d2 overwrites its inputs, and pt_xy feeds the shot noise below.
-            d2 = _min_image_d2(sim.pt_xy[:, 0] - p.d_s, sim.pt_xy[:, 1].copy(), sim.window)
-            near[any_pt] = np.minimum.reduceat(d2, pt_off[:-1][any_pt]) <= rg2
-        kept = np.flatnonzero(~(reject[reps] & near))
-        i_pt, i_tx, g = _batch_shot_noise(sim, kept, chargers[reps], 1)
-        denom = i_pt + i_tx + p.noise
-        signal = g[:, 0] * signal_power[reps][kept] * path_gain[reps][kept]
-        sinr = np.full(len(kept), np.inf)
-        values.append(np.divide(signal, denom, out=sinr, where=denom > 0))
-        owners.append(kept + reps.start)
+        pt_loss, tx_loss, tx_off = _slot_losses(sim)
+        if reject[reps].any():
+            # _min_image_d2 overwrites its inputs
+            close = _min_image_d2(sim.pt_xy[:, 0] - p.d_s, sim.pt_xy[:, 1].copy(),
+                                  sim.window) <= rg2
+        for r, rng in enumerate(sim.rngs):
+            i = reps.start + r
+            a, b = sim.pt_off[r], sim.pt_off[r + 1]
+            # A rejecting replication skips the slot, drawing nothing, while an
+            # active charger is within r_g of the link's transmitter.
+            if reject[i] and close[a:b].any():
+                continue
+            if not chargers[i]:
+                a = b
+            c, d = tx_off[r], tx_off[r + 1]
+            # One call draws the chargers' gains, the transmitters', then the signal's
+            g = rng.standard_exponential(b - a + d - c + 1)
+            denom = (_faded_sum(g[:b - a], p.power_p, pt_loss[a:b])
+                     + _faded_sum(g[b - a:-1], p.power_s, tx_loss[c:d]) + p.noise)
+            signal = g[-1] * signal_power[i] * path_gain[i]
+            samples[i].append(signal / denom if denom > 0 else math.inf)
 
-    rngs = [rng for config, _, _ in runs for rng in _rep_rngs(config)]
-    _measured_slots(p, runs[0][0], rngs, measure, dedicated_pt=np.array([p.d_p, 0.0]),
-                    dedicated=primary)
-    samples = _by_replication(values, owners, len(rngs))
+    _measured_slots(p, runs[0][0], [rng for config, _, _ in runs for rng in _rep_rngs(config)],
+                    measure, dedicated_pt=np.array([p.d_p, 0.0]), dedicated=primary)
+    samples = [np.asarray(values, dtype=float) for values in samples]
     return [samples[a:b] for a, b in itertools.pairwise(itertools.accumulate(counts, initial=0))]
 
 
@@ -645,24 +611,19 @@ def _outage_curves(params: NetworkParams, runs, thetas) -> list[list[SimEstimate
         raise ValueError("outage runs stepped together may differ only in their seeds "
                          "and replication counts")
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    if not (np.isfinite(thetas) & (thetas > 0)).all():
+        raise ValueError(f"SINR thresholds must be finite and positive, got {thetas.tolist()}")
     curves = []
     for (config, _, _), samples in zip(runs, _sinr_samples(params, runs)):
-        per_theta_means = [[] for _ in thetas]
-        per_theta_counts = [[] for _ in thetas]
-        total_slots = config.n_replications * config.n_slots
-        total_kept = 0
-        for sinr in samples:
-            total_kept += len(sinr)
-            if len(sinr) == 0:
-                continue
-            for i, th in enumerate(thetas):
-                per_theta_means[i].append(float(np.mean(sinr < th)))
-                per_theta_counts[i].append(len(sinr))
+        kept = [np.sort(sinr) for sinr in samples if len(sinr)]
+        n_kept = np.array([len(sinr) for sinr in kept], dtype=np.int64)
+        total_kept, total_slots = int(n_kept.sum()), config.n_replications * config.n_slots
         if total_kept == 0 or total_kept / total_slots < 1e-4:
             raise ConditioningTooRareError(
                 f"conditioning event too rare: kept {total_kept} of {total_slots} slots")
-        curves.append([_combine(per_theta_means[i], per_theta_counts[i])
-                       for i in range(len(thetas))])
+        # Row k, column i: replication k's samples below threshold i
+        below = np.array([np.searchsorted(sinr, thetas) for sinr in kept])
+        curves.append([_combine(below[:, i] / n_kept, n_kept) for i in range(len(thetas))])
     return curves
 
 

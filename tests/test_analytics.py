@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from rfharvest import (build_chain, charging_geometry, outage_primary,
                        outage_secondary, outage_secondary_paper, p_guard, p_harvest,
                        phi, pt_double_slot, pt_multi_bounds, pt_single_slot,
-                       spatial_throughput, tau_primary, tau_secondary,
+                       spatial_throughput, tau_primary, tau_secondary, tau_wit,
                        transmission_probability, wit_outage, zone_probabilities)
 from rfharvest.analytics import _hole_integral, _lens_area
+from rfharvest.params import _table
 
 from conftest import make_params, replace_params, valid_params
 
@@ -215,6 +216,29 @@ def test_tau_primary_power_scaling_structure():
     st_part_doubled = tau_primary(p2, active) - tau_primary(p2, 0.0)
     assert tau_primary(p2, 0.0) == pytest.approx(base_only, rel=1e-12)
     assert st_part_doubled == pytest.approx(st_part * 2.0 ** (-2.0 / p.alpha), rel=1e-12)
+
+
+def test_tau_exponents_keep_their_operation_order():
+    # Each exponent, written out in full, must give the same bits
+    p, a = make_params(noise=1e-3, power_s=0.03, d_s=0.7), 0.01
+    two = 2.0 / p.alpha
+    assert tau_primary(p, a) == ((p.lambda_p + a * (p.power_s / p.power_p) ** two)
+                                 * p.theta_p ** two * p.d_p ** 2 * phi(p.alpha)
+                                 + p.theta_p * p.d_p ** p.alpha * p.noise / p.power_p)
+    assert tau_secondary(p, a) == ((p.lambda_p * (p.power_s / p.power_p) ** -two + a)
+                                   * p.theta_s ** two * p.d_s ** 2 * phi(p.alpha)
+                                   + p.theta_s * p.d_s ** p.alpha * p.noise / p.power_s)
+    assert tau_wit(p, a) == (a * p.theta_s ** two * p.d_s ** 2 * phi(p.alpha)
+                             + p.theta_s * p.d_s ** p.alpha * p.noise / p.power_s)
+
+
+@pytest.mark.parametrize("tau", [tau_primary, tau_secondary, tau_wit])
+def test_tau_exponents_take_tables(tau):
+    p = make_params(noise=1e-3)
+    rows = [(0.01, 0.5, 4.0), (0.05, 1.0, 3.0), (0.02, 2.0, 5.5)]
+    table = _table(p, dict(zip(("power_s", "d_s", "alpha"), map(list, zip(*rows)))))
+    want = [tau(replace_params(p, power_s=s, d_s=d, alpha=al), 0.01) for s, d, al in rows]
+    assert tau(table, 0.01).tolist() == want
 
 
 @settings(max_examples=100, deadline=None)

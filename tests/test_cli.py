@@ -267,6 +267,19 @@ def test_simulate_zero_replications_fails(config_path, tmp_path, capsys):
     assert "replications" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target, mode", [("p_t", "approx"), ("outage-secondary", "cluster"),
+                                          ("interference-cdf", "approx")])
+def test_simulate_refuses_mode_its_target_ignores(config_path, tmp_path, capsys, target, mode):
+    # before: exit 0 with "# mode: approx" over exact results
+    out = tmp_path / "x.csv"
+    rc = main(["simulate", "--config", config_path, "--out", str(out), "--target", target,
+               "--mode", mode, "--slots", "4"])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"rfharvest: error: --mode {mode} applies to --target "
+                                       f"interference only, not {target}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--warmup", "-3", "warmup must be non-negative, got -3"),
     ("--window", "nan", "window side must be finite and positive, got nan"),

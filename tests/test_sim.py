@@ -306,7 +306,8 @@ def test_batches_stay_within_one_wide_replication(fig9_params):
 
 
 def reference_shot_noise(xy, power, alpha, rng):
-    """The per-replication shot noise the batched probe replaced."""
+    """Shot noise at the origin, drawn and summed set by set as a lone
+    replication would."""
     if len(xy) == 0:
         return 0.0
     r = np.hypot(xy[:, 0], xy[:, 1])
@@ -331,8 +332,9 @@ def reference_slots(p, cfg, measure, **kw):
 
 
 def reference_sinr_samples(p, cfg, side, conditioning, seen):
-    """The per-replication SINR loop the batched probe replaced; counts in
-    ``seen`` the slots without chargers, without transmitters, and rejected."""
+    """SINR samples of each replication stepped alone, its fading drawn set by
+    set; counts in ``seen`` the slots without chargers, without
+    transmitters, and rejected."""
     signal_power, link_dist = (p.power_p, p.d_p) if side == "primary" else (p.power_s, p.d_s)
     path_gain = link_dist ** -p.alpha if link_dist > 0 else math.inf
     reject = side == "secondary" and conditioning == "rejection" and p.r_g > 0
@@ -415,6 +417,30 @@ def test_outage_runs_stepped_together_share_their_settings():
     runs = [(small_cfg(), "primary", None), (small_cfg(n_slots=21), "secondary", None)]
     with pytest.raises(ValueError, match="may differ only in their seeds"):
         sim_module._outage_curves(p, runs, [1.0])
+
+
+@pytest.mark.parametrize("thetas", [[math.nan, -1.0, 0.0], [1.0, 0.0], [-2.0], [math.inf]])
+def test_outage_curve_refuses_bad_thresholds(monkeypatch, thetas):
+    # before: [nan, -1, 0] gave the outages [0.0, 0.0, 0.0]
+    monkeypatch.setattr(sim_module, "_sinr_samples", lambda *a: pytest.fail("a slot ran"))
+    with pytest.raises(ValueError, match="SINR thresholds must be finite and positive"):
+        outage_curve(make_params(), small_cfg(), "primary", thetas)
+
+
+def test_threshold_counts_match_per_threshold_means(monkeypatch):
+    # A sample equal to a threshold is not below it, inf is above every
+    # threshold, and a replication without kept slots is left out
+    samples = [np.array([2.0, 0.5, np.inf, 2.0, 1e-3]), np.array([]),
+               RNG(3).lognormal(size=997), np.array([np.inf])]
+    thetas = [2.0, 0.1, 1.0, 5.0, 1e300]
+    monkeypatch.setattr(sim_module, "_sinr_samples", lambda params, runs: [samples])
+    cfg = small_cfg(n_replications=len(samples), n_slots=5)
+    got = sim_module._outage_curves(make_params(), [(cfg, "primary", None)], thetas)[0]
+    kept = [sinr for sinr in samples if len(sinr)]
+    for est, th in zip(got, thetas):
+        want = _combine([float(np.mean(sinr < th)) for sinr in kept], [len(s) for s in kept])
+        assert (np.array(dataclasses.astuple(est)).tobytes()
+                == np.array(dataclasses.astuple(want)).tobytes())
 
 
 @pytest.mark.parametrize("side, field", [("primary", "d_p"), ("secondary", "d_s"),
