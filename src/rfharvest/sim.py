@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytics import p_guard, transmission_probability
+from .analytics import p_guard, p_harvest, transmission_probability
 from .params import NetworkParams, charging_geometry
 
 __all__ = [
@@ -61,7 +61,24 @@ class SimConfig:
 
     window_side   None picks max(20 * r_g, 100); must be >= 4 * r_g, with a finite area
     n_slots       measured slots per replication (after warm-up)
-    warmup        discarded leading slots, >= 0; None picks max(10 * m_slots, 100)
+    warmup        discarded leading slots, >= 0; None picks the rule below
+
+    At m_slots = 1 the default warm-up is the smallest t >= 1 with
+    n * rho**t <= 1e-6, where n = lambda_s * W**2 is the expected number of
+    secondaries in the window W and rho = |1 - p_h - p_g|.  Two copies of
+    the dynamics on the same charger fields, started from any two battery
+    states, agree on a secondary from its first slot unguarded or
+    harvesting (harvesting needs the guard zone, r_h <= r_g), an event of
+    probability p_g + p_h each slot; at r_g = 0 they agree unless the empty
+    copy harvests, probability p_h.  So after t slots the run is within
+    total variation n * rho**t of a stationary start (the coupling
+    inequality; Levin, Peres & Wilmer, *Markov Chains and Mixing Times*,
+    2nd ed., Thm 5.4).  A secondary inside the dedicated charger's guard
+    disk never transmits in either copy, so the bound holds for the
+    transmit set, all that the estimators read.  (At r_g = 0 one within r_h
+    of the dedicated charger empties and refills in alternate slots
+    forever, a cycle no warm-up mixes.)  m_slots >= 2 keeps
+    max(10 * m_slots, 100): partial charges need their own argument.
     """
 
     window_side: float | None = None
@@ -93,10 +110,25 @@ class SimConfig:
                 "truncation would bias estimates")
         return side
 
-    def resolved_warmup(self, m_slots: int) -> int:
+    def resolved_warmup(self, params: NetworkParams) -> int | float:
+        """The warm-up in slots; ``inf`` where no finite one meets the
+        bound, which the slot driver refuses."""
         if self.warmup is not None:
             return self.warmup
-        return max(10 * m_slots, 100)
+        m = charging_geometry(params).m_slots
+        if m > 1:
+            return max(10 * m, 100)
+        lam = params.lambda_p
+        rho = abs(1.0 - p_harvest(lam, params.r_h) - p_guard(lam, params.r_g))
+        if rho == 0.0 or params.lambda_s == 0.0:
+            return 1
+        # ln(n / 1e-6), finite wherever the window is, also where n overflows
+        log_excess = (math.log(params.lambda_s) + 2.0 * math.log(self.resolved_window(params))
+                      + math.log(1e6))
+        if log_excess <= 0.0:
+            return 1
+        slots = log_excess / -math.log(rho) if rho < 1.0 else math.inf
+        return math.ceil(slots) if math.isfinite(slots) else math.inf
 
 
 def _hppp(density: float, window: float, rng: np.random.Generator) -> np.ndarray:
@@ -315,7 +347,8 @@ _BATCH_SECONDARIES = 2 ** 17
 
 # Most slots (warm-up plus measured) one replication may run.  The default
 # warm-up grows with m_slots, which can exceed 1e25 at large transmit
-# powers; such a run would never end, so it is refused.
+# powers, and at m_slots = 1 without bound as rho nears 1; such a run would
+# never end, so it is refused.
 MAX_REPLICATION_SLOTS = 2 ** 31
 
 
@@ -347,12 +380,12 @@ def _measured_slots(params: NetworkParams, config: SimConfig, rngs: list[np.rand
     the next one is built, which a generator could not ensure: its caller
     would hold the last batch while the next one runs.
     """
-    m = charging_geometry(params).m_slots
-    warmup = config.resolved_warmup(m)
+    warmup = config.resolved_warmup(params)
     if warmup + config.n_slots > MAX_REPLICATION_SLOTS:
         raise ValueError(
-            f"a replication would run {warmup} warm-up slots (m_slots = {m}) plus "
-            f"{config.n_slots} measured slots, over the limit of {MAX_REPLICATION_SLOTS}")
+            f"a replication would run {warmup} warm-up slots (m_slots = "
+            f"{charging_geometry(params).m_slots}) plus {config.n_slots} measured slots, "
+            f"over the limit of {MAX_REPLICATION_SLOTS}")
     window = config.resolved_window(params)
     expected = params.lambda_s * window * window  # inf, not OverflowError, if huge
     size = max(1, int(_BATCH_SECONDARIES / max(expected, 1.0)))
@@ -611,6 +644,8 @@ def _outage_curves(params: NetworkParams, runs, thetas) -> list[list[SimEstimate
         raise ValueError("outage runs stepped together may differ only in their seeds "
                          "and replication counts")
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    if not thetas.size:
+        raise ValueError("an outage curve needs at least one SINR threshold")
     if not (np.isfinite(thetas) & (thetas > 0)).all():
         raise ValueError(f"SINR thresholds must be finite and positive, got {thetas.tolist()}")
     curves = []

@@ -9,6 +9,7 @@ alters an RNG stream or an output on purpose regenerates the files with
 and names the changed files in CHANGES.md.
 """
 
+import json
 import os
 import shutil
 import sys
@@ -16,7 +17,7 @@ import tempfile
 
 import pytest
 
-from rfharvest import cli
+from rfharvest import SimConfig, cli, params_from_dict
 from rfharvest import sim as sim_module
 from rfharvest.cli import main
 
@@ -107,8 +108,9 @@ def test_figure_9_starts_no_process_pool(tmp_path, monkeypatch):
 
 
 def test_figure_9_steps_both_sides_together(tmp_path, monkeypatch):
-    # At the default settings: 100 warm-up and 150 measured slots, each one
-    # step of a single batch of both sides' 8 replications
+    # At the default settings: the default warm-up of its single-slot point
+    # (14 slots) and 150 measured slots, each one step of a single batch of
+    # both sides' 8 replications
     batches = []
     step = sim_module.SlotSimulator.step
 
@@ -118,7 +120,11 @@ def test_figure_9_steps_both_sides_together(tmp_path, monkeypatch):
 
     monkeypatch.setattr(sim_module.SlotSimulator, "step", counted)
     assert main(["figure", "--id", "9", "--out-dir", str(tmp_path)]) == 0
-    assert batches == [16] * 250
+    with open(tmp_path / "fig9_outage_primary_sim.csv", encoding="utf-8") as fh:
+        config = next(line for line in fh if line.startswith("# config: "))
+    warmup = SimConfig().resolved_warmup(params_from_dict(json.loads(config[len("# config: "):])))
+    assert warmup == 14
+    assert batches == [16] * (warmup + 150)
 
 
 def test_figure_all_writes_every_study_in_id_order(tmp_path, capsys):

@@ -10,7 +10,7 @@ from scipy import stats
 from rfharvest import (ConditioningTooRareError, SimConfig, SlotSimulator,
                        charging_geometry, estimate_outage, estimate_p_t,
                        interference_samples, outage_curve, outage_primary,
-                       outage_secondary, p_guard, phi, transmission_probability)
+                       outage_secondary, p_guard, p_harvest, phi, transmission_probability)
 from rfharvest import sim as sim_module
 from rfharvest.sim import (_CellList, _cluster_rates, _cluster_transmitters, _combine,
                            _hppp, _min_image_d2, _rep_rngs, _shot_noise)
@@ -318,7 +318,7 @@ def reference_shot_noise(xy, power, alpha, rng):
 def reference_slots(p, cfg, measure, **kw):
     """Each replication stepped alone, ``measure(sim, rng)`` appending one
     sample (or none) after each measured slot; one array per replication."""
-    warmup = cfg.resolved_warmup(charging_geometry(p).m_slots)
+    warmup = cfg.resolved_warmup(p)
     samples = []
     for rng in _rep_rngs(cfg):
         sim = SlotSimulator(p, cfg, [rng], **kw)
@@ -425,6 +425,13 @@ def test_outage_curve_refuses_bad_thresholds(monkeypatch, thetas):
     monkeypatch.setattr(sim_module, "_sinr_samples", lambda *a: pytest.fail("a slot ran"))
     with pytest.raises(ValueError, match="SINR thresholds must be finite and positive"):
         outage_curve(make_params(), small_cfg(), "primary", thetas)
+
+
+def test_outage_curve_refuses_empty_thresholds(monkeypatch):
+    # before: every warm-up and measured slot ran, and then [] came back
+    monkeypatch.setattr(SlotSimulator, "step", lambda sim: pytest.fail("a slot ran"))
+    with pytest.raises(ValueError, match="at least one SINR threshold"):
+        outage_curve(make_params(), small_cfg(), "primary", [])
 
 
 def test_threshold_counts_match_per_threshold_means(monkeypatch):
@@ -666,7 +673,7 @@ def test_simconfig_validation():
         SimConfig(n_replications=0)
     with pytest.raises(ValueError, match="below 4"):
         SimConfig(window_side=10.0).resolved_window(make_params(r_g=4.0))
-    assert SimConfig(warmup=0).resolved_warmup(5) == 0
+    assert SimConfig(warmup=0).resolved_warmup(make_params(power_s=0.5)) == 0
 
 
 @pytest.mark.parametrize("side", [math.nan, math.inf, 0.0, -60.0])
@@ -695,8 +702,86 @@ def test_default_window_and_warmup():
     cfg = SimConfig()
     assert cfg.resolved_window(make_params(r_g=4.0)) == 100.0
     assert cfg.resolved_window(make_params(r_g=8.0)) == 160.0
-    assert cfg.resolved_warmup(1) == 100
-    assert cfg.resolved_warmup(12) == 120
+    # m_slots = 1 at figure 9's point: rho = 0.2154 and n = 1000 secondaries
+    assert cfg.resolved_warmup(make_params()) == 14
+    assert charging_geometry(make_params(power_s=1.2)).m_slots == 12
+    assert cfg.resolved_warmup(make_params(power_s=1.2)) == 120
+
+
+def warmup_by_search(p, cfg):
+    """The smallest t >= 1 with n rho^t <= 1e-6, counted up slot by slot."""
+    rho = abs(1.0 - p_harvest(p.lambda_p, p.r_h) - p_guard(p.lambda_p, p.r_g))
+    n = p.lambda_s * cfg.resolved_window(p) ** 2
+    t = 1
+    while n * rho ** t > 1e-6:
+        t += 1
+    return t
+
+
+@pytest.mark.parametrize("kw", [{}, {"r_g": 0.0}, {"lambda_s": 2.0}, {"lambda_p_total": 0.05},
+                                {"lambda_p_total": 0.1, "r_h": 0.3, "power_s": 5e-4}])
+@pytest.mark.parametrize("window", [None, 40.0])
+def test_single_slot_warmup_is_the_coupling_bound(kw, window):
+    p = make_params(**kw)
+    cfg = SimConfig(window_side=window)
+    assert charging_geometry(p).m_slots == 1
+    assert cfg.resolved_warmup(p) == warmup_by_search(p, cfg)
+
+
+def test_single_slot_warmup_edges():
+    cfg = SimConfig()
+    # rho = 0 (no chargers: p_g = 1 and p_h = 0), and no secondaries
+    assert cfg.resolved_warmup(make_params(lambda_p_total=0.0)) == 1
+    assert cfg.resolved_warmup(make_params(lambda_s=0.0)) == 1
+    # rho near 1, where 100 slots bound the start's effect only by 0.11
+    p = make_params(lambda_p_total=0.1, r_h=0.3, power_s=5e-4)
+    rho = 1.0 - p_harvest(p.lambda_p, p.r_h) - p_guard(p.lambda_p, p.r_g)
+    assert 1000 * rho ** 100 > 0.1 and cfg.resolved_warmup(p) == 228
+    # n overflows at the default window of r_g = 1e300, and the rule stays finite
+    huge = make_params(r_g=1e300)
+    window = cfg.resolved_window(huge)
+    assert huge.lambda_s * window * window == math.inf
+    assert cfg.resolved_warmup(huge) == 44534
+    # p_h = p_g = 1: each secondary empties and refills in alternate slots
+    # forever, so no warm-up bounds the start, and the run is refused
+    cycle = make_params(r_g=0.0, lambda_p_total=20.0)
+    assert cfg.resolved_warmup(cycle) == math.inf
+    with pytest.raises(ValueError, match=r"would run inf warm-up slots \(m_slots = 1\)"):
+        estimate_p_t(cycle, SimConfig(n_slots=2, n_replications=1))
+    # an explicit warm-up wins
+    assert SimConfig(warmup=3).resolved_warmup(cycle) == 3
+    # a finite bound past the slot limit (rho = 1 - 3e-10) is refused too
+    slow = make_params(r_g=100.0, r_h=1e-4)
+    assert sim_module.MAX_REPLICATION_SLOTS < cfg.resolved_warmup(slow) < math.inf
+    with pytest.raises(ValueError, match=r"warm-up slots \(m_slots = 1\).*over the limit"):
+        estimate_p_t(slow, SimConfig(n_slots=2, n_replications=1))
+
+
+@pytest.mark.parametrize("r_g, dedicated", [(3.0, False), (3.0, True), (0.0, False)])
+def test_default_warmup_couples_empty_and_full_starts(r_g, dedicated):
+    # Two runs at figure 9's point on the same streams, one started with
+    # every battery empty and one with every battery full: their transmit
+    # sets differ at the first slot and agree from the rule's warm-up on.
+    # At r_g = 0 a secondary near the dedicated charger alternates forever,
+    # so that case is the charger field alone.
+    p = make_params(r_g=r_g)
+    cfg = SimConfig(n_replications=4, master_seed=11)
+    kw = {"dedicated_pt": np.array([p.d_p, 0.0])} if dedicated else {}
+    empty = SlotSimulator(p, cfg, _rep_rngs(cfg), **kw)
+    full = SlotSimulator(p, cfg, _rep_rngs(cfg), **kw)
+    full.battery[:] = p.power_s
+    warmup = cfg.resolved_warmup(p)
+    for i in range(warmup + 51):
+        empty.step()
+        full.step()
+        same = np.array_equal(empty.st_transmit, full.st_transmit)
+        if i == 0:
+            assert not same
+        elif i >= warmup:
+            assert same, i
+    # Near the dedicated charger a secondary in its guard disk stays as it
+    # started while no charger is within r_h; it never transmits
+    assert np.array_equal(empty.battery, full.battery) != dedicated
 
 
 @pytest.mark.slow
