@@ -24,8 +24,8 @@ from .analytics import (outage_primary, outage_secondary, transmission_probabili
 from .optimize import solve
 from .params import (NetworkParams, _distinct, _scalar, _table, _take, charging_geometry,
                      load_params, params_to_dict, validate)
-from .sim import (ConditioningTooRareError, SimConfig, _outage_curves, estimate_outage,
-                  estimate_p_t, interference_samples)
+from .sim import (ConditioningTooRareError, SimConfig, estimate_outage, estimate_p_t,
+                  interference_samples, outage_curve)
 
 __all__ = ["main", "SweepSpec", "parse_sweep"]
 
@@ -434,16 +434,14 @@ def _outage_study(args, figure, base, column, grid, fields, simulate) -> list:
 
 
 def _figure_9(args) -> list:
-    # Both sides step together in one lockstep batch, without the pool, and
-    # a dynamics run serves all 13 thresholds.
+    # One outage_curve per side, without the pool: a dynamics run serves all
+    # 13 thresholds.
     base = _study_params(r_g=3.0, r_h=1.0, power_p=1.0, power_s=0.1, lambda_s=0.1)
     thetas = np.geomspace(1.0, 1000.0, 13)
-    curves = _outage_curves(base, [
-        (_sim_cfg(args, replications=8, slots=150, seed_index=k), side, None)
-        for k, side in enumerate(("primary", "secondary"))], thetas)
 
     def simulate(table, side, k):
-        return _est_columns(curves[k])
+        return _est_columns(outage_curve(
+            base, _sim_cfg(args, replications=8, slots=150, seed_index=k), side, thetas))
     return _outage_study(args, 9, base, "theta", thetas, ("theta_p", "theta_s"), simulate)
 
 
@@ -554,6 +552,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # before any output; analyze and optimize have no --seed
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         return args.fn(args)
     except (ValueError, ConditioningTooRareError, OSError) as exc:
         print(f"rfharvest: error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -253,14 +253,13 @@ class SlotSimulator:
     draws each replication's chargers from its own stream, then makes one
     nearest-charger query and one battery update for the whole batch.
 
-    An optional ``dedicated_pt`` is an always-active extra charger in the
-    batch replications ``dedicated_reps`` (every one when omitted), used to
-    realize a conditioned transmitter near a probe receiver.
+    An optional ``dedicated_pt`` is an always-active extra charger in every
+    replication, used to realize a conditioned transmitter near a probe
+    receiver.
     """
 
     def __init__(self, params: NetworkParams, config: SimConfig,
-                 rngs: list[np.random.Generator], *, dedicated_pt: np.ndarray | None = None,
-                 dedicated_reps: np.ndarray | None = None):
+                 rngs: list[np.random.Generator], *, dedicated_pt: np.ndarray | None = None):
         self.params = params
         self.rngs = list(rngs)
         self.n_reps = len(self.rngs)
@@ -271,8 +270,7 @@ class SlotSimulator:
         self._reps = np.arange(self.n_reps)
         self.dedicated_pt = None if dedicated_pt is None else np.asarray(dedicated_pt, float)
         if self.dedicated_pt is not None:
-            self._dedicated_rep = self._reps if dedicated_reps is None else dedicated_reps
-            self._dedicated_xy = np.tile(self.dedicated_pt, (len(self._dedicated_rep), 1))
+            self._dedicated_xy = np.tile(self.dedicated_pt, (self.n_reps, 1))
         self._full_level = params.power_s * (1.0 - 1e-12)
         self._rg2 = params.r_g ** 2
         self._rh2 = params.r_h ** 2
@@ -319,7 +317,7 @@ class SlotSimulator:
         source_rep = np.repeat(self._reps, np.diff(self.pt_off))
         if self.dedicated_pt is not None:
             sources = np.concatenate([sources, self._dedicated_xy])
-            source_rep = np.concatenate([source_rep, self._dedicated_rep])
+            source_rep = np.concatenate([source_rep, self._reps])
 
         nearest2 = self._st_cells.nearest_d2(sources, source_rep)
 
@@ -357,17 +355,11 @@ def _rep_rngs(config: SimConfig) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in seeds]
 
 
-def _measured_slots(params: NetworkParams, config: SimConfig, rngs: list[np.random.Generator],
-                    measure, *, dedicated_pt: np.ndarray | None = None,
-                    dedicated: np.ndarray | None = None) -> None:
-    """The slot driver: calls ``measure(sim, reps)`` after each measured slot.
-
-    ``rngs`` holds the streams of the replications to run: one run's
-    :func:`_rep_rngs`, or several runs' back to back, which then step
-    together (the runs share ``params`` and every setting of ``config`` but
-    its seed and replication count).  An optional ``dedicated_pt`` is an
-    always-active charger in the replications where the boolean array
-    ``dedicated`` is set.
+def _measured_slots(params: NetworkParams, config: SimConfig, measure, *,
+                    dedicated_pt: np.ndarray | None = None) -> None:
+    """The slot driver: steps the replications of ``config`` and calls
+    ``measure(sim, reps)`` after each measured slot.  An optional
+    ``dedicated_pt`` is an always-active charger in every replication.
 
     The replications run in lockstep batches.  ``sim`` is the batch's
     :class:`SlotSimulator`, fresh for each batch, and the slice ``reps``
@@ -389,11 +381,10 @@ def _measured_slots(params: NetworkParams, config: SimConfig, rngs: list[np.rand
     window = config.resolved_window(params)
     expected = params.lambda_s * window * window  # inf, not OverflowError, if huge
     size = max(1, int(_BATCH_SECONDARIES / max(expected, 1.0)))
+    rngs = _rep_rngs(config)
     for first in range(0, len(rngs), size):
         reps = slice(first, min(first + size, len(rngs)))
-        marked = np.flatnonzero(dedicated[reps]) if dedicated_pt is not None else []
-        sim = SlotSimulator(params, config, rngs[reps], dedicated_reps=marked,
-                            dedicated_pt=dedicated_pt if len(marked) else None)
+        sim = SlotSimulator(params, config, rngs[reps], dedicated_pt=dedicated_pt)
         for i in range(warmup + config.n_slots):
             sim.step()
             if i >= warmup:
@@ -425,7 +416,7 @@ def estimate_p_t(params: NetworkParams, config: SimConfig) -> SimEstimate:
         hits[reps] += np.bincount(sim.st_rep[sim.st_transmit], minlength=sim.n_reps)
         n_st[reps] = np.diff(sim.st_off)
 
-    _measured_slots(params, config, _rep_rngs(config), measure)
+    _measured_slots(params, config, measure)
     if not n_st.all():
         raise ValueError("window contains no secondary transmitters; "
                          "increase lambda_s or the window side")
@@ -536,7 +527,7 @@ def interference_samples(params: NetworkParams, config: SimConfig,
                 samples[reps.start + r].append(
                     _faded_sum(rng.standard_exponential(b - a), p.power_s, tx_loss[a:b]))
 
-        _measured_slots(p, config, _rep_rngs(config), measure)
+        _measured_slots(p, config, measure)
         return np.asarray(samples, dtype=float).ravel()
     window = config.resolved_window(p)
     if mode == "cluster":
@@ -553,64 +544,57 @@ def interference_samples(params: NetworkParams, config: SimConfig,
                        for rng in _rep_rngs(config) for _ in range(config.n_slots)])
 
 
-def _sinr_samples(params: NetworkParams, runs) -> list[list[np.ndarray]]:
+def _sinr_samples(params: NetworkParams, config: SimConfig, side: str,
+                  conditioning: str) -> list[np.ndarray]:
     """SINR samples at a probe receiver at the origin, one array per
-    replication, for each checked ``(config, side, conditioning)`` of
-    ``runs``.
-
-    The runs step together: their replications make one lockstep batch (or
-    several, as the memory cap allows), and a replication draws from its
-    own stream as it would alone, so no run changes another's samples.
-    """
+    replication, for a checked ``side`` and ``conditioning``."""
     p = params
-    counts = [config.n_replications for config, _, _ in runs]
-
-    def per_rep(values) -> np.ndarray:
-        return np.repeat(values, counts)
-
-    primary = per_rep([side == "primary" for _, side, _ in runs])
-    signal_power = np.where(primary, p.power_p, p.power_s)
+    signal_power, link_dist = (p.power_p, p.d_p) if side == "primary" else (p.power_s, p.d_s)
     # A receiver at its transmitter has infinite SINR, so it never fails.
-    path_gain = per_rep([d ** -p.alpha if d > 0 else math.inf
-                         for d in (p.d_p if side == "primary" else p.d_s for _, side, _ in runs)])
-    reject = per_rep([side == "secondary" and conditioning == "rejection" and p.r_g > 0
-                      for _, side, conditioning in runs])
-    chargers = per_rep([side != "wit" for _, side, _ in runs])
+    path_gain = link_dist ** -p.alpha if link_dist > 0 else math.inf
+    reject = side == "secondary" and conditioning == "rejection" and p.r_g > 0
     rg2 = p.r_g ** 2
-    samples = [[] for _ in reject]
+    samples = [[] for _ in range(config.n_replications)]
 
     def measure(sim, reps):
         pt_loss, tx_loss, tx_off = _slot_losses(sim)
-        if reject[reps].any():
+        if reject:
             # _min_image_d2 overwrites its inputs
             close = _min_image_d2(sim.pt_xy[:, 0] - p.d_s, sim.pt_xy[:, 1].copy(),
                                   sim.window) <= rg2
         for r, rng in enumerate(sim.rngs):
-            i = reps.start + r
             a, b = sim.pt_off[r], sim.pt_off[r + 1]
             # A rejecting replication skips the slot, drawing nothing, while an
             # active charger is within r_g of the link's transmitter.
-            if reject[i] and close[a:b].any():
+            if reject and close[a:b].any():
                 continue
-            if not chargers[i]:
+            if side == "wit":
                 a = b
             c, d = tx_off[r], tx_off[r + 1]
             # One call draws the chargers' gains, the transmitters', then the signal's
             g = rng.standard_exponential(b - a + d - c + 1)
             denom = (_faded_sum(g[:b - a], p.power_p, pt_loss[a:b])
                      + _faded_sum(g[b - a:-1], p.power_s, tx_loss[c:d]) + p.noise)
-            signal = g[-1] * signal_power[i] * path_gain[i]
-            samples[i].append(signal / denom if denom > 0 else math.inf)
+            signal = g[-1] * signal_power * path_gain
+            samples[reps.start + r].append(signal / denom if denom > 0 else math.inf)
 
-    _measured_slots(p, runs[0][0], [rng for config, _, _ in runs for rng in _rep_rngs(config)],
-                    measure, dedicated_pt=np.array([p.d_p, 0.0]), dedicated=primary)
-    samples = [np.asarray(values, dtype=float) for values in samples]
-    return [samples[a:b] for a, b in itertools.pairwise(itertools.accumulate(counts, initial=0))]
+    _measured_slots(p, config, measure,
+                    dedicated_pt=np.array([p.d_p, 0.0]) if side == "primary" else None)
+    return [np.asarray(values, dtype=float) for values in samples]
 
 
-def _checked_run(params: NetworkParams, config: SimConfig, side: str,
-                 conditioning: str | None) -> tuple[SimConfig, str, str]:
-    """One outage run, with its conditioning resolved; raises on a bad one."""
+def outage_curve(params: NetworkParams, config: SimConfig, side: str,
+                 thetas, *, conditioning: str | None = None) -> list[SimEstimate]:
+    """Simulated outage probabilities at several SINR thresholds.
+
+    One dynamics run per replication supplies the SINR samples for every
+    threshold.  ``side`` selects the probe link: 'primary' (extra always-on
+    charger at distance d_p), 'secondary' (transmitter at distance d_s,
+    slots rejected while any active charger is within r_g of it), or 'wit'
+    (chargers on a dedicated band contribute no interference).
+    ``conditioning`` may be set to 'none' for an unconditioned secondary
+    estimate.  The link distance must be below half the window side.
+    """
     if side not in ("primary", "secondary", "wit"):
         raise ValueError(f"unknown side {side!r}")
     if conditioning is None:
@@ -632,49 +616,22 @@ def _checked_run(params: NetworkParams, config: SimConfig, side: str,
     if not dist < window / 2.0:
         raise ValueError(f"link distance {link}={dist!r} must be smaller than half the "
                          f"window side {window!r}")
-    return config, side, conditioning
-
-
-def _outage_curves(params: NetworkParams, runs, thetas) -> list[list[SimEstimate]]:
-    """:func:`outage_curve` of each ``(config, side, conditioning)`` of
-    ``runs``, the runs stepped together in one lockstep batch; their
-    configs may differ in the seed and the replication count only."""
-    runs = [_checked_run(params, *run) for run in runs]
-    if len({replace(config, master_seed=0, n_replications=1) for config, _, _ in runs}) > 1:
-        raise ValueError("outage runs stepped together may differ only in their seeds "
-                         "and replication counts")
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if not thetas.size:
         raise ValueError("an outage curve needs at least one SINR threshold")
     if not (np.isfinite(thetas) & (thetas > 0)).all():
         raise ValueError(f"SINR thresholds must be finite and positive, got {thetas.tolist()}")
-    curves = []
-    for (config, _, _), samples in zip(runs, _sinr_samples(params, runs)):
-        kept = [np.sort(sinr) for sinr in samples if len(sinr)]
-        n_kept = np.array([len(sinr) for sinr in kept], dtype=np.int64)
-        total_kept, total_slots = int(n_kept.sum()), config.n_replications * config.n_slots
-        if total_kept == 0 or total_kept / total_slots < 1e-4:
-            raise ConditioningTooRareError(
-                f"conditioning event too rare: kept {total_kept} of {total_slots} slots")
-        # Row k, column i: replication k's samples below threshold i
-        below = np.array([np.searchsorted(sinr, thetas) for sinr in kept])
-        curves.append([_combine(below[:, i] / n_kept, n_kept) for i in range(len(thetas))])
-    return curves
 
-
-def outage_curve(params: NetworkParams, config: SimConfig, side: str,
-                 thetas, *, conditioning: str | None = None) -> list[SimEstimate]:
-    """Simulated outage probabilities at several SINR thresholds.
-
-    One dynamics run per replication supplies the SINR samples for every
-    threshold.  ``side`` selects the probe link: 'primary' (extra always-on
-    charger at distance d_p), 'secondary' (transmitter at distance d_s,
-    slots rejected while any active charger is within r_g of it), or 'wit'
-    (chargers on a dedicated band contribute no interference).
-    ``conditioning`` may be set to 'none' for an unconditioned secondary
-    estimate.  The link distance must be below half the window side.
-    """
-    return _outage_curves(params, [(config, side, conditioning)], thetas)[0]
+    kept = [np.sort(sinr) for sinr in _sinr_samples(params, config, side, conditioning)
+            if len(sinr)]
+    n_kept = np.array([len(sinr) for sinr in kept], dtype=np.int64)
+    total_kept, total_slots = int(n_kept.sum()), config.n_replications * config.n_slots
+    if total_kept == 0 or total_kept / total_slots < 1e-4:
+        raise ConditioningTooRareError(
+            f"conditioning event too rare: kept {total_kept} of {total_slots} slots")
+    # Row k, column i: replication k's samples below threshold i
+    below = np.array([np.searchsorted(sinr, thetas) for sinr in kept])
+    return [_combine(below[:, i] / n_kept, n_kept) for i in range(len(thetas))]
 
 
 def estimate_outage(params: NetworkParams, config: SimConfig, side: str) -> SimEstimate:

@@ -297,6 +297,21 @@ def test_simulate_bad_warmup_or_window_fails_cleanly(config_path, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["simulate", "--target", "p_t", "--seed", "-1"]] + [
+    ["figure", "--id", fig, "--seed", "-3"] for fig in [*map(str, range(5, 14)), "all"]],
+    ids=lambda argv: " ".join(argv[:3]))
+def test_negative_seed_fails_cleanly(config_path, tmp_path, capsys, argv):
+    # before: numpy's "expected non-negative integer", naming neither the
+    # option nor the value, and figure 11 wrote "# seed: -1" and exited 0
+    out = tmp_path / "out"
+    where = (["--config", config_path, "--out", str(out)] if argv[0] == "simulate"
+             else ["--out-dir", str(out)])
+    assert main(argv + where) == 2
+    assert capsys.readouterr().err == (
+        f"rfharvest: error: --seed must be non-negative, got {argv[-1]}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("target, overrides, sweep, message", [
     # before: a numpy overflow warning and an outage of 1
     ("outage-secondary", {"d_s": 1e300}, [], "d_s=1e+300"),

@@ -100,31 +100,37 @@ def test_pooled_figures_unchanged_by_worker_count(name, workers, tmp_path, monke
 
 
 def test_figure_9_starts_no_process_pool(tmp_path, monkeypatch):
-    # its two outage runs, stepped together, fork no worker to add to its memory
+    # its two outage runs fork no worker to add to its memory
     monkeypatch.setenv("RFH_THREADS", "2")
     monkeypatch.setattr(cli, "ProcessPoolExecutor",
                         lambda *a, **kw: pytest.fail("figure 9 started a process pool"))
     assert_golden("figure9", tmp_path)
 
 
-def test_figure_9_steps_both_sides_together(tmp_path, monkeypatch):
-    # At the default settings: the default warm-up of its single-slot point
-    # (14 slots) and 150 measured slots, each one step of a single batch of
-    # both sides' 8 replications
-    batches = []
-    step = sim_module.SlotSimulator.step
+def test_figure_9_runs_one_outage_curve_per_side(tmp_path, monkeypatch):
+    # At the default settings: one outage_curve call per side, each the
+    # default warm-up of its single-slot point (14 slots) and 150 measured
+    # slots, each one step of a single batch of the side's 8 replications
+    runs, batches = [], []
+    curve, step = cli.outage_curve, sim_module.SlotSimulator.step
+
+    def recorded(params, config, side, thetas, **kw):
+        runs.append((side, config.n_replications))
+        return curve(params, config, side, thetas, **kw)
 
     def counted(sim):
         batches.append(sim.n_reps)
         step(sim)
 
+    monkeypatch.setattr(cli, "outage_curve", recorded)
     monkeypatch.setattr(sim_module.SlotSimulator, "step", counted)
     assert main(["figure", "--id", "9", "--out-dir", str(tmp_path)]) == 0
     with open(tmp_path / "fig9_outage_primary_sim.csv", encoding="utf-8") as fh:
         config = next(line for line in fh if line.startswith("# config: "))
     warmup = SimConfig().resolved_warmup(params_from_dict(json.loads(config[len("# config: "):])))
     assert warmup == 14
-    assert batches == [16] * (warmup + 150)
+    assert runs == [("primary", 8), ("secondary", 8)]
+    assert batches == [8] * 2 * (warmup + 150)
 
 
 def test_figure_all_writes_every_study_in_id_order(tmp_path, capsys):

@@ -375,18 +375,15 @@ def test_batched_probe_matches_per_replication_loop(monkeypatch, batch_secondari
     # About 20 secondaries and 1.6 chargers per replication-slot: some
     # slots draw no charger, some have no transmitter.  At 40 secondaries
     # a batch holds two replications, so each run of five splits across
-    # three batches and some batches hold two runs.
+    # three batches.
     p = make_params(lambda_s=0.05, lambda_p_total=0.004, power_p=2.0, noise=noise)
     monkeypatch.setattr(sim_module, "_BATCH_SECONDARIES", batch_secondaries)
-    runs = [(small_cfg(window_side=20.0, n_slots=30, n_replications=5, warmup=10,
-                       master_seed=40 + k), side, conditioning)
-            for k, (side, conditioning) in enumerate(PROBE_RUNS)]
-    together = sim_module._sinr_samples(p, runs)
     seen = dict.fromkeys(("chargerless", "silent", "rejected"), 0)
-    for run, got in zip(runs, together):
-        want = reference_sinr_samples(p, *run, seen)
-        assert_bit_identical(got, want)
-        assert_bit_identical(sim_module._sinr_samples(p, [run])[0], want)
+    for k, (side, conditioning) in enumerate(PROBE_RUNS):
+        cfg = small_cfg(window_side=20.0, n_slots=30, n_replications=5, warmup=10,
+                        master_seed=40 + k)
+        assert_bit_identical(sim_module._sinr_samples(p, cfg, side, conditioning),
+                             reference_sinr_samples(p, cfg, side, conditioning, seen))
     assert min(seen.values()) > 0, seen
 
 
@@ -412,13 +409,6 @@ def test_batched_interference_matches_per_replication_loop(monkeypatch, batch_se
     assert min(transmitters) == 0 if lambda_s < 0.1 else max(transmitters) >= 10
 
 
-def test_outage_runs_stepped_together_share_their_settings():
-    p = make_params()
-    runs = [(small_cfg(), "primary", None), (small_cfg(n_slots=21), "secondary", None)]
-    with pytest.raises(ValueError, match="may differ only in their seeds"):
-        sim_module._outage_curves(p, runs, [1.0])
-
-
 @pytest.mark.parametrize("thetas", [[math.nan, -1.0, 0.0], [1.0, 0.0], [-2.0], [math.inf]])
 def test_outage_curve_refuses_bad_thresholds(monkeypatch, thetas):
     # before: [nan, -1, 0] gave the outages [0.0, 0.0, 0.0]
@@ -440,9 +430,9 @@ def test_threshold_counts_match_per_threshold_means(monkeypatch):
     samples = [np.array([2.0, 0.5, np.inf, 2.0, 1e-3]), np.array([]),
                RNG(3).lognormal(size=997), np.array([np.inf])]
     thetas = [2.0, 0.1, 1.0, 5.0, 1e300]
-    monkeypatch.setattr(sim_module, "_sinr_samples", lambda params, runs: [samples])
+    monkeypatch.setattr(sim_module, "_sinr_samples", lambda *a: samples)
     cfg = small_cfg(n_replications=len(samples), n_slots=5)
-    got = sim_module._outage_curves(make_params(), [(cfg, "primary", None)], thetas)[0]
+    got = outage_curve(make_params(), cfg, "primary", thetas)
     kept = [sinr for sinr in samples if len(sinr)]
     for est, th in zip(got, thetas):
         want = _combine([float(np.mean(sinr < th)) for sinr in kept], [len(s) for s in kept])

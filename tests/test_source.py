@@ -35,3 +35,16 @@ def test_closed_forms_call_no_numpy_transcendental(name):
               if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy")
               for alias in node.names if alias.name in TRANSCENDENTAL]
     assert not calls, f"{name} uses numpy transcendentals: {calls}"
+
+
+def test_slot_simulator_is_built_only_by_the_slot_driver():
+    # One slot driver, sim._measured_slots, owns the warm-up, the lockstep
+    # batches and their memory cap for every dynamics run.
+    builders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        builders += [(f"{path.stem}.{getattr(top, 'name', '<module>')}", node.lineno)
+                     for top in tree.body for node in ast.walk(top)
+                     if isinstance(node, ast.Call) and "SlotSimulator" in (
+                         getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert [name for name, _ in builders] == ["sim._measured_slots"], builders
