@@ -58,9 +58,13 @@ def p_guard(lambda_p_active: float, r_g: float) -> float:
     """Probability that a uniformly placed point is outside every guard zone.
 
     Void probability of a disk of radius r_g under a Poisson field of
-    active primary transmitters: exp(-pi r_g^2 lambda_p).
+    active primary transmitters: exp(-pi r_g^2 lambda_p).  Without active
+    transmitters it is 1 for any r_g, also where pi r_g^2 overflows to inf
+    and inf * 0 is NaN, which ``fmin`` drops.
     """
-    return _each(math.exp, -math.pi * r_g * r_g * lambda_p_active)
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponent = np.fmin(-math.pi * r_g * r_g * lambda_p_active, 0.0)
+    return _each(math.exp, exponent)
 
 
 def p_harvest(lambda_p_active: float, r_h: float) -> float:
@@ -424,12 +428,15 @@ def outage_secondary(params: NetworkParams, active_density: float) -> OutageResu
     lam = p.lambda_p
     _fail(p_guard(lam, p.r_g) <= 0.0,
           lambda k: ValueError("guard zones cover the plane (p_g = 0)"))
+    # without primaries the guard disk changes nothing, so r_g = 0 stands
+    # in for a radius whose disk's area may overflow
+    r_g = np.where(lam > 0.0, p.r_g, 0.0)
     s = p.theta_s * _pow(p.d_s, p.alpha) / p.power_s
     ph = _each(phi, p.alpha)
-    tau = (active_density * _each(math.exp, lam * _each(_lens_area, p.d_s, p.r_g))
+    tau = (active_density * _each(math.exp, lam * _each(_lens_area, p.d_s, r_g))
            * ph * _pow(s * p.power_s, 2.0 / p.alpha) + s * p.noise)
     c = s * p.power_p
-    hole = lam * (ph * _pow(c, 2.0 / p.alpha) - _each(_hole_integral, p.d_s, p.r_g, p.alpha, c))
+    hole = lam * (ph * _pow(c, 2.0 / p.alpha) - _each(_hole_integral, p.d_s, r_g, p.alpha, c))
     tau = np.where(lam > 0.0, tau + hole, tau)
     return OutageResult(tau=tau, probability=-_each(math.expm1, -tau),
                         clamped=np.zeros(len(tau), dtype=bool))

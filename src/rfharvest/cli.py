@@ -136,39 +136,31 @@ def _percent(spec: str, values: list) -> list[str]:
     return texts
 
 
-def _fmt_column(values) -> list[str]:
-    """Each value formatted as :func:`_fmt` formats it.
+def _fmt_column(values: np.ndarray) -> list[str]:
+    """Each value of an array formatted as :func:`_fmt` formats it.
 
     Each distinct value is converted to text once, and the texts are
     gathered back to the rows: in a float64 or integer column, values are
     distinct by bit pattern (``params._distinct``); ``"%.12g" % x`` equals
-    ``format(x, ".12g")``.  A column of strings (``binding``) is its own
-    text.  One of Python ints, strings and None (``m_slots``,
-    ``m_at_optimum``) is deduplicated by value, as equal values of those
-    types print alike.
+    ``format(x, ".12g")``.  A column of strings is its own text.  Any
+    other column (Python ints, strings and None in ``m_slots``,
+    ``m_at_optimum`` and ``binding``; bools) is deduplicated by value, as
+    equal values print alike in a column that does not mix equal values
+    of different types (1 and True, 0.0 and -0.0); no command writes one.
     """
-    if isinstance(values, np.ndarray):
-        if values.dtype.kind == "U":
-            return values.tolist()
-        if values.dtype == np.float64 or values.dtype.kind in "iu":
-            codes = _distinct([values])
-            distinct = values if codes is None else values[codes[0]]
-            is_float = values.dtype == np.float64
-            texts = _percent("%.12g" if is_float else "%d", distinct.tolist())
-            if is_float and np.isnan(distinct).any():
-                texts = ["" if t == "nan" else t for t in texts]
-            return texts if codes is None else list(map(texts.__getitem__, codes[1].tolist()))
-        values = values.tolist()
-    kinds = set(map(type, values))
-    if kinds == {str}:
-        return values
-    if kinds <= {int, str, type(None)}:
-        distinct = set(values)
-        ints = [v for v in distinct if type(v) is int]
-        texts = dict(zip(ints, _percent("%d", ints)))
-        texts.update((v, _fmt(v)) for v in distinct if type(v) is not int)
-        return list(map(texts.__getitem__, values))
-    return [_fmt(v) for v in values]
+    if values.dtype.kind == "U":
+        return values.tolist()
+    if values.dtype == np.float64 or values.dtype.kind in "iu":
+        codes = _distinct([values])
+        distinct = values if codes is None else values[codes[0]]
+        is_float = values.dtype == np.float64
+        texts = _percent("%.12g" if is_float else "%d", distinct.tolist())
+        if is_float and np.isnan(distinct).any():
+            texts = ["" if t == "nan" else t for t in texts]
+        return texts if codes is None else list(map(texts.__getitem__, codes[1].tolist()))
+    values = values.tolist()
+    texts = {v: _fmt(v) for v in set(values)}
+    return list(map(texts.__getitem__, values))
 
 
 # Rows formatted at a time: bounds the memory the formatted text takes.
@@ -176,7 +168,7 @@ _CHUNK_ROWS = 2048
 
 
 def _write_csv(path, header_lines, columns: dict) -> None:
-    """Write a CSV of ``columns``, a sequence of values per column name.
+    """Write a CSV of ``columns``, an array of values per column name.
 
     Names and values are identifiers, numbers and bare words, which CSV
     never quotes, so a row is its fields joined by commas.
@@ -271,8 +263,9 @@ def cmd_analyze(args) -> int:
 
 
 def _est_columns(ests) -> dict:
-    return {"estimate": [e.mean for e in ests], "half_width": [e.half_width for e in ests],
-            "n_samples": [e.n_samples for e in ests]}
+    return {"estimate": np.array([e.mean for e in ests], dtype=np.float64),
+            "half_width": np.array([e.half_width for e in ests], dtype=np.float64),
+            "n_samples": np.array([e.n_samples for e in ests], dtype=np.int64)}
 
 
 def _simulate_point(job):
@@ -296,9 +289,8 @@ def _cdf(params: NetworkParams, config: SimConfig) -> dict:
     """Matched quantile levels and sorted exact and approx interference samples."""
     exact = np.sort(interference_samples(params, config, "exact"))
     approx = np.sort(interference_samples(params, config, "approx"))
-    n = min(len(exact), len(approx))
-    return {"quantile": np.arange(1, n + 1) / n, "i_s_exact": exact[:n],
-            "i_s_approx": approx[:n]}
+    n = len(exact)
+    return {"quantile": np.arange(1, n + 1) / n, "i_s_exact": exact, "i_s_approx": approx}
 
 
 def cmd_simulate(args) -> int:
@@ -307,25 +299,21 @@ def cmd_simulate(args) -> int:
                          f"not {args.target}")
     config = SimConfig(n_slots=args.slots, n_replications=args.replications,
                        window_side=args.window, warmup=args.warmup)
-    header_kw = dict(seed=args.seed, replications=args.replications, slots=args.slots,
-                     mode=args.mode, target=args.target)
-
-    if args.target not in ("interference", "interference-cdf"):
-        def table_columns(table):
-            validate(table, warn=False)
-            return _simulated(table, config, args.target, args.seed)
-        return _write_sweep(args, "simulate", table_columns, **header_kw)
-
-    if args.sweep:
+    if args.sweep and args.target in ("interference", "interference-cdf"):
         raise ValueError(f"target {args.target} does not support sweeps")
-    base = load_params(args.config)
-    config = replace(config, master_seed=_point_seed(args.seed, 0))
-    headers = _headers("simulate", base, **header_kw)
-    if args.target == "interference":
-        _write_csv(args.out, headers, {"i_s": interference_samples(base, config, args.mode)})
-    else:
-        _write_csv(args.out, headers, _cdf(base, config))
-    return 0
+
+    def table_columns(table):
+        # the interference targets sample the one-row table at point 0's seed
+        seeded = replace(config, master_seed=_point_seed(args.seed, 0))
+        if args.target == "interference":
+            return {"i_s": interference_samples(_scalar(table), seeded, args.mode)}
+        if args.target == "interference-cdf":
+            return _cdf(_scalar(table), seeded)
+        validate(table, warn=False)
+        return _simulated(table, config, args.target, args.seed)
+    return _write_sweep(args, "simulate", table_columns, seed=args.seed,
+                        replications=args.replications, slots=args.slots, mode=args.mode,
+                        target=args.target)
 
 
 # -- optimize ------------------------------------------------------------------

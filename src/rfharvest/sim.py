@@ -55,6 +55,12 @@ class SimEstimate:
     n_samples: int
 
 
+def _check_area(side: float) -> None:
+    """Refuse a window side whose area is beyond the float range."""
+    if not math.isfinite(side * side):
+        raise ValueError(f"window side {side} has an area too large to represent")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation controls.
@@ -91,8 +97,10 @@ class SimConfig:
         side = self.window_side
         if side is not None and not (math.isfinite(side) and side > 0):
             raise ValueError(f"window side must be finite and positive, got {side}")
-        if side is not None and not math.isfinite(side * side):
-            raise ValueError(f"window side {side} has an area too large to represent")
+        if side is not None:
+            _check_area(side)
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
         if self.warmup is not None and self.warmup < 0:
             raise ValueError(f"warmup must be non-negative, got {self.warmup}")
         if self.n_slots < 1:
@@ -133,7 +141,9 @@ class SimConfig:
 
 def _hppp(density: float, window: float, rng: np.random.Generator) -> np.ndarray:
     """Homogeneous Poisson points in the centered square window, shape (n, 2);
-    refused before the draw above 1e18 expected points (16 EB of coordinates)."""
+    refused before the draw for a window whose area overflows (also at
+    density 0) or above 1e18 expected points (16 EB of coordinates)."""
+    _check_area(window)
     expected = density * window * window
     if expected > 1e18:
         raise ValueError(f"a window of side {window:g} expects {expected:.4g} points at "
@@ -613,6 +623,7 @@ def outage_curve(params: NetworkParams, config: SimConfig, side: str,
     # hold only for a link shorter than half the window.
     link = "d_p" if side == "primary" else "d_s"
     dist, window = getattr(params, link), config.resolved_window(params)
+    _check_area(window)  # before the probe squares r_g
     if not dist < window / 2.0:
         raise ValueError(f"link distance {link}={dist!r} must be smaller than half the "
                          f"window side {window!r}")

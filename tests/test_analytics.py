@@ -62,6 +62,13 @@ def test_guard_probability_values():
     assert p_guard(0.01, 0.0) == 1.0
 
 
+def test_guard_probability_of_a_disk_whose_area_overflows():
+    # pi r_g^2 is inf: no guard exit with primaries, a certain one without
+    # (inf * 0 is NaN), for scalars and columns alike, and without a warning
+    assert p_guard(0.01, 1e300) == 0.0 and p_guard(0.0, 1e300) == 1.0
+    assert p_guard(np.array([0.01, 0.0]), np.full(2, 1e300)).tolist() == [0.0, 1.0]
+
+
 def test_harvest_probability_values():
     assert p_harvest(0.01, 1.0) == pytest.approx(PH_001_1, rel=1e-14)
     assert p_harvest(0.0, 1.0) == 0.0

@@ -373,9 +373,65 @@ def test_simulate_refuses_default_window_of_huge_guard_radius(tmp_path, capsys):
     rc = main(["simulate", "--config", str(config), "--out", str(out),
                "--replications", "1", "--slots", "2"])
     assert rc == 2
-    assert capsys.readouterr().err == ("rfharvest: error: a window of side 2e+301 expects inf "
-                                       "points at density 0.01, over the limit of 1e18\n")
+    assert capsys.readouterr().err == ("rfharvest: error: window side 2e+301 has an area too "
+                                       "large to represent\n")
     assert not out.exists()
+
+
+def _example_with(tmp_path, **kw) -> str:
+    """configs/example.json with the fields ``kw`` replaced, as a file."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(json.loads(pathlib.Path(EXAMPLE).read_text()) | kw))
+    return str(path)
+
+
+def _data_lines(path) -> list[str]:
+    return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
+@pytest.mark.parametrize("lambda_p_total", [0.01, 0.0])
+@pytest.mark.parametrize("target", [["p_t"], ["outage-primary"], ["outage-wit"],
+                                    ["interference", "--mode", "cluster"],
+                                    ["interference-cdf"]], ids=lambda t: "-".join(t))
+def test_simulate_refuses_huge_guard_radius_at_any_primary_density(tmp_path, capsys, target,
+                                                                   lambda_p_total):
+    # At lambda_p = 0, p_g was exp(NaN), hence an inf warm-up, and with
+    # p_g = 1 the default window's area overflowed uncaught.
+    out = tmp_path / "x.csv"
+    rc = main(["simulate", "--config", _example_with(tmp_path, r_g=1e300,
+                                                     lambda_p_total=lambda_p_total),
+               "--out", str(out), "--replications", "1", "--slots", "2", "--target"] + target)
+    assert rc == 2
+    assert capsys.readouterr().err == ("rfharvest: error: window side 2e+301 has an area too "
+                                       "large to represent\n")
+    assert not out.exists()
+
+
+def test_huge_guard_radius_with_primaries_covers_the_plane(tmp_path, capsys):
+    # pi r_g^2 lambda_p overflows to inf, so p_g = 0, with no numpy warning
+    config = _example_with(tmp_path, r_g=1e300)
+    out = tmp_path / "x.csv"
+    assert main(["analyze", "--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("rfharvest: error: guard zones cover the plane "
+                                       "(p_g = 0)\n")
+    assert main(["optimize", "--config", config, "--out", str(out)]) == 0
+    assert _data_lines(out)[1].startswith("infeasible,p1,")
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["analyze", "optimize"])
+def test_huge_guard_radius_without_primaries_changes_nothing(tmp_path, capsys, command):
+    # No primaries, no guard disks: any r_g gives r_g = 3's rows.  Before,
+    # p_g was exp(NaN), analyze overflowed in the guard hole and optimize
+    # failed to convert NaN to an integer.
+    rows = []
+    for r_g in (3.0, 1e300):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", _example_with(tmp_path, r_g=r_g, lambda_p_total=0.0),
+                     "--out", str(out)]) == 0
+        rows.append(_data_lines(out))
+    assert rows[1] == rows[0]
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("target", ["p_t", "outage-secondary"])
@@ -632,7 +688,6 @@ def test_csv_writer_matches_per_value_format(tmp_path):
         "mixed": np.array([None, -0.0, np.nan, 3, True, "x"] * (n // 6 + 1),
                           dtype=object)[:n],
         "flag": rows % 3 == 0,
-        "listed": [float(v) if v % 2 else int(v) for v in rows % 11],
     }
     path = tmp_path / "out.csv"
     _write_csv(path, ["a header"], columns)

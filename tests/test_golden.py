@@ -15,6 +15,7 @@ import shutil
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 
 from rfharvest import SimConfig, cli, params_from_dict
@@ -144,6 +145,26 @@ def test_figure_all_writes_every_study_in_id_order(tmp_path, capsys):
     for fname in printed:
         with open(os.path.join(GOLDEN, fname), "rb") as fh:
             assert (tmp_path / fname).read_bytes() == fh.read(), fname
+
+
+def test_every_csv_column_reaches_the_writer_as_an_array(tmp_path, monkeypatch):
+    # Each file case, and figure --id all (every figure case's files), hands
+    # cli._write_csv numpy arrays only.
+    monkeypatch.setenv("RFH_THREADS", "1")
+    columns, write = {}, cli._write_csv
+
+    def recorded(path, header_lines, cols):
+        columns[os.path.basename(path)] = cols
+        write(path, header_lines, cols)
+
+    monkeypatch.setattr(cli, "_write_csv", recorded)
+    for name in sorted(CASES):
+        if CASES[name][1] == "file":
+            run_case(name, str(tmp_path))
+    assert main(["figure", "--id", "all"] + FIGURE + ["--out-dir", str(tmp_path)]) == 0
+    assert sorted(columns) == sorted(os.listdir(GOLDEN))
+    assert [(fname, name, type(c).__name__) for fname, cols in columns.items()
+            for name, c in cols.items() if not isinstance(c, np.ndarray)] == []
 
 
 def regenerate() -> int:

@@ -663,6 +663,8 @@ def test_simconfig_validation():
         SimConfig(n_replications=0)
     with pytest.raises(ValueError, match="below 4"):
         SimConfig(window_side=10.0).resolved_window(make_params(r_g=4.0))
+    with pytest.raises(ValueError, match="master_seed must be non-negative, got -1"):
+        SimConfig(master_seed=-1)
     assert SimConfig(warmup=0).resolved_warmup(make_params(power_s=0.5)) == 0
 
 

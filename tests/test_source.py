@@ -37,14 +37,25 @@ def test_closed_forms_call_no_numpy_transcendental(name):
     assert not calls, f"{name} uses numpy transcendentals: {calls}"
 
 
+def _callers(name: str) -> list[str]:
+    """``module.top-level name`` of each call of ``name`` in the package, in order."""
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        callers += [f"{path.stem}.{getattr(top, 'name', '<module>')}"
+                    for top in tree.body for node in ast.walk(top)
+                    if isinstance(node, ast.Call) and name in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    return callers
+
+
 def test_slot_simulator_is_built_only_by_the_slot_driver():
     # One slot driver, sim._measured_slots, owns the warm-up, the lockstep
     # batches and their memory cap for every dynamics run.
-    builders = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        builders += [(f"{path.stem}.{getattr(top, 'name', '<module>')}", node.lineno)
-                     for top in tree.body for node in ast.walk(top)
-                     if isinstance(node, ast.Call) and "SlotSimulator" in (
-                         getattr(node.func, "id", None), getattr(node.func, "attr", None))]
-    assert [name for name, _ in builders] == ["sim._measured_slots"], builders
+    assert _callers("SlotSimulator") == ["sim._measured_slots"]
+
+
+def test_csv_is_written_only_by_the_sweep_and_study_writers():
+    # One CSV path: every analyze, simulate and optimize target goes through
+    # cli._write_sweep, and the canned studies through cli.cmd_figure.
+    assert _callers("_write_csv") == ["cli._write_sweep", "cli.cmd_figure"]
