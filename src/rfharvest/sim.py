@@ -94,6 +94,12 @@ class SimConfig:
     warmup: int | None = None
 
     def __post_init__(self):
+        for name in ("n_slots", "n_replications", "master_seed", "warmup"):
+            value = getattr(self, name)
+            if value is None and name == "warmup":
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         side = self.window_side
         if side is not None and not (math.isfinite(side) and side > 0):
             raise ValueError(f"window side must be finite and positive, got {side}")
@@ -153,14 +159,13 @@ def _hppp(density: float, window: float, rng: np.random.Generator) -> np.ndarray
     return rng.uniform(-half, half, size=(n, 2))
 
 
-def _min_image_d2(dx: np.ndarray, dy: np.ndarray, side: float) -> np.ndarray:
-    """Squared min-image lengths of the displacements ``(dx, dy)``; overwrites both."""
-    for d in (dx, dy):
-        np.abs(d, out=d)
-        np.minimum(d, side - d, out=d)
-        d *= d
-    dx += dy
-    return dx
+def _min_image_d2(d: np.ndarray, side: float) -> np.ndarray:
+    """Squared min-image lengths of the displacements ``d``, shape (..., 2);
+    overwrites ``d``."""
+    np.abs(d, out=d)
+    np.minimum(d, side - d, out=d)
+    d *= d
+    return d[..., 0] + d[..., 1]
 
 
 class _CellList:
@@ -173,8 +178,9 @@ class _CellList:
     Liquids*).  Every replication has its own torus and its own n columns
     of cells, numbered ``rep * n + column``, so a query point sees only the
     points of its own replication.  There are at most as many cells as
-    points, which bounds the index to O(len(xy)) memory when points are
-    sparse on the scale of ``radius``; larger cells only add candidates.
+    points, and the index holds each point at most 3 times plus its end-row
+    copies, which bounds it to O(len(xy)) memory when points are sparse on
+    the scale of ``radius``; larger cells only add candidates.
     """
 
     def __init__(self, xy: np.ndarray, window: float, radius: float,
@@ -190,26 +196,32 @@ class _CellList:
         self.n = n = max(n, 1)
         self.window = window
         # Each column of cells is stored with a copy of its last row before
-        # its first row and of its first row after its last, so that the 3
-        # cells of a column around any row are one contiguous run.
+        # its first row and of its first row after its last, and block c
+        # holds columns c - 1, c and c + 1 so stored, merged by row: the
+        # 3 x 3 cells around any cell of column c are one contiguous run.
         self._m = m = n + 2
         k = self._grid(xy)
         column = k[:, 0] if rep is None else rep * n + k[:, 0]
         wrap_lo = np.flatnonzero(k[:, 1] == n - 1)
         wrap_hi = np.flatnonzero(k[:, 1] == 0)
+        point = np.concatenate([np.arange(len(xy)), wrap_lo, wrap_hi])
         cell = np.concatenate([column * m + k[:, 1] + 1, column[wrap_lo] * m,
                                column[wrap_hi] * m + n + 1])
-        order = np.argsort(cell, kind="stable")
-        self._order = np.concatenate([np.arange(len(xy)), wrap_lo, wrap_hi])[order]
-        self._x, self._y = xy[self._order].T.copy()
+        # Deduplicated, so that under three cells per side no block holds a
+        # point twice (rows may be, which leaves every minimum unchanged).
+        # A Python set, not np.unique: numpy's set routines import numpy.ma,
+        # 12-15 ms that every simulating process, pool workers too, would pay.
+        offsets = sorted({-1 % n, 0, 1 % n})
+        c = np.arange(n)[:, None]
+        # shift[c, j] moves a key from column c to the same row of block (c + offsets[j]) % n
+        shift = ((c + offsets) % n - c) * m
+        cell = (cell[:, None] + shift[k[point, 0]]).ravel()
+        # The order within a cell changes no minimum, so the sort need not be stable
+        self._order = np.repeat(point, len(offsets)).take(np.argsort(cell))
+        self._xy = xy.take(self._order, axis=0)
         self._n_points = len(xy)
         self._start = np.zeros(n_reps * n * m + 1, dtype=np.intp)
         np.cumsum(np.bincount(cell, minlength=n_reps * n * m), out=self._start[1:])
-        # Deduplicated, so that under three cells per side no column is
-        # visited twice (rows may be, which leaves every minimum unchanged).
-        # A Python set, not np.unique: numpy's set routines import numpy.ma,
-        # 12-15 ms that every simulating process, pool workers too, would pay.
-        self._off = np.array(sorted({-1 % n, 0, 1 % n}), dtype=np.intp)
 
     def _grid(self, xy: np.ndarray) -> np.ndarray:
         """Integer (column, row) cell coordinates of each point, shape (len(xy), 2)."""
@@ -226,22 +238,17 @@ class _CellList:
         is above ``radius**2`` too, and this one is at least as large
         (``inf`` when no query point lies in the 3 x 3 cells around it).
         """
-        n = self.n
         k = self._grid(query)
-        columns = (k[:, 0, None] + self._off) % n
-        if rep is not None:
-            columns += (rep * n)[:, None]
-        # The run of each column from the row below the query's to the row above
-        first = columns * self._m + k[:, 1, None]
+        block = k[:, 0] if rep is None else rep * self.n + k[:, 0]
+        # The run of the query's block from the row below the query's to the row above
+        first = block * self._m + k[:, 1]
         lo = self._start[first]
         counts = self._start[first + 3] - lo
-        q = np.repeat(np.arange(len(query)), counts.sum(axis=1))
-        lo, counts = lo.ravel(), counts.ravel()
         idx = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-        qx, qy = query.T
-        d2 = _min_image_d2(self._x[idx] - qx[q], self._y[idx] - qy[q], self.window)
+        d = self._xy.take(idx, axis=0)
+        d -= np.repeat(query, counts, axis=0)
         nearest = np.full(self._n_points, np.inf)
-        np.minimum.at(nearest, self._order[idx], d2)
+        np.minimum.at(nearest, self._order[idx], _min_image_d2(d, self.window))
         return nearest
 
 
@@ -569,9 +576,7 @@ def _sinr_samples(params: NetworkParams, config: SimConfig, side: str,
     def measure(sim, reps):
         pt_loss, tx_loss, tx_off = _slot_losses(sim)
         if reject:
-            # _min_image_d2 overwrites its inputs
-            close = _min_image_d2(sim.pt_xy[:, 0] - p.d_s, sim.pt_xy[:, 1].copy(),
-                                  sim.window) <= rg2
+            close = _min_image_d2(sim.pt_xy - (p.d_s, 0.0), sim.window) <= rg2
         for r, rng in enumerate(sim.rngs):
             a, b = sim.pt_off[r], sim.pt_off[r + 1]
             # A rejecting replication skips the slot, drawing nothing, while an

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import time
 import tracemalloc
 
@@ -22,7 +23,7 @@ RNG = np.random.default_rng
 
 def _torus_d2(a, b, side):
     """Pairwise squared min-image distances, shape (len(a), len(b))."""
-    return _min_image_d2(a[:, 0, None] - b[None, :, 0], a[:, 1, None] - b[None, :, 1], side)
+    return _min_image_d2(a[:, None] - b[None], side)
 
 
 def active_pt_xy(sim, r):
@@ -166,6 +167,45 @@ def test_cell_list_without_chargers_or_points():
     assert np.all(_CellList(pts, 60.0, 4.0).nearest_d2(none) == np.inf)
     assert _CellList(none, 60.0, 4.0).nearest_d2(pts).shape == (0,)
     assert _CellList(none, 60.0, 4.0).nearest_d2(none).shape == (0,)
+
+
+@pytest.mark.parametrize("radius, n_cells", [(40.0, 1), (25.0, 2), (19.0, 3), (5.0, 11)])
+@pytest.mark.parametrize("n_reps", [1, 3])
+def test_cell_list_commutes_with_shuffling_the_points(radius, n_cells, n_reps):
+    # The order of the indexed points is the only order the answer may
+    # follow: shuffling them shuffles the distances alike, bit for bit,
+    # whatever order the sort leaves within a cell
+    rng = RNG(5)
+    pts = rng.uniform(-30, 30, (600, 2))
+    query = rng.uniform(-30, 30, (90, 2))
+    rep, query_rep = None, None
+    if n_reps > 1:
+        rep, query_rep = rng.integers(0, n_reps, len(pts)), rng.integers(0, n_reps, len(query))
+    perm = rng.permutation(len(pts))
+    cells = _CellList(pts, 60.0, radius, rep, n_reps)
+    shuffled = _CellList(pts[perm], 60.0, radius, None if rep is None else rep[perm], n_reps)
+    assert cells.n == shuffled.n == n_cells
+    got = cells.nearest_d2(query, query_rep)
+    assert np.array_equal(shuffled.nearest_d2(query, query_rep), got[perm])
+    assert np.isfinite(got).any()
+
+
+@pytest.mark.parametrize("radius", [40.0, 25.0, 19.0, 5.0, 0.5])
+@pytest.mark.parametrize("n_reps", [1, 3])
+def test_cell_list_holds_each_point_at_most_three_times(radius, n_reps):
+    # One copy per column block it belongs to, at most three, each with a
+    # copy more for an end row: the index stays O(len(xy))
+    rng = RNG(6)
+    pts = rng.uniform(-30, 30, (900, 2))
+    rep = None if n_reps == 1 else np.sort(rng.integers(0, n_reps, len(pts)))
+    cells = _CellList(pts, 60.0, radius, rep, n_reps)
+    n = cells.n
+    row = cells._grid(pts)[:, 1]
+    end_rows = 1 + (row == 0) + (row == n - 1)
+    held = np.bincount(cells._order, minlength=len(pts))
+    assert np.array_equal(held, min(n, 3) * end_rows)
+    assert len(cells._xy) == len(cells._order) == cells._start[-1]
+    assert len(cells._start) == n_reps * n * (n + 2) + 1 and n * n <= len(pts) // n_reps
 
 
 @pytest.mark.parametrize("r_g, lambda_p, window, dedicated", [
@@ -344,7 +384,7 @@ def reference_sinr_samples(p, cfg, side, conditioning, seen):
         tx = transmitting_st_xy(sim, 0)
         seen["chargerless"] += len(act) == 0
         seen["silent"] += len(tx) == 0
-        if reject and len(act) and _min_image_d2(act[:, 0] - link_dist, act[:, 1].copy(),
+        if reject and len(act) and _min_image_d2(act - (link_dist, 0.0),
                                                  sim.window).min() <= p.r_g ** 2:
             seen["rejected"] += 1
             return
@@ -672,6 +712,21 @@ def test_simconfig_validation():
 def test_simconfig_rejects_bad_window(side):
     with pytest.raises(ValueError, match="window side must be finite and positive"):
         SimConfig(window_side=side)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_slots", 10.0), ("n_slots", True), ("n_replications", 2.0), ("master_seed", 1.5),
+    ("master_seed", "7"), ("warmup", 5.0), ("warmup", False)])
+def test_simconfig_refuses_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+        SimConfig(**{field: value})
+
+
+def test_simconfig_accepts_numpy_integers():
+    cfg = small_cfg(n_slots=np.int64(4), n_replications=np.int32(2), master_seed=np.uint64(9),
+                    warmup=np.int16(3))
+    assert estimate_p_t(make_params(), cfg) == estimate_p_t(make_params(), small_cfg(
+        n_slots=4, n_replications=2, master_seed=9, warmup=3))
 
 
 @pytest.mark.parametrize("side, field, closed_form", [
