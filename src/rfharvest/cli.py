@@ -29,8 +29,11 @@ from .sim import (ConditioningTooRareError, SimConfig, estimate_outage, estimate
 
 __all__ = ["main", "SweepSpec", "parse_sweep"]
 
+# simulate's interference sample targets, each with its sampler's mode
+_INTERFERENCE_MODES = {"interference": "exact", "interference-approx": "approx",
+                       "interference-cluster": "cluster"}
 SIM_TARGETS = ("p_t", "outage-primary", "outage-secondary", "outage-wit",
-               "interference", "interference-cdf")
+               *_INTERFERENCE_MODES, "interference-cdf")
 
 _PARAM_NAMES = {f.name for f in fields(NetworkParams)}
 
@@ -184,7 +187,8 @@ def _write_csv(path, header_lines, columns: dict) -> None:
 
 
 def _headers(command: str, params: NetworkParams, *, sweeps=(), seed=None,
-             replications=None, slots=None, mode=None, target=None) -> list[str]:
+             replications=None, slots=None, window=None, warmup=None,
+             target=None) -> list[str]:
     lines = [f"rfharvest {__version__}", f"command: {command}",
              "config: " + json.dumps(params_to_dict(params), sort_keys=True,
                                      separators=(",", ":"))]
@@ -192,7 +196,7 @@ def _headers(command: str, params: NetworkParams, *, sweeps=(), seed=None,
         lines.append(f"sweep: {s.name}={s.start:g}:{s.stop:g}:{s.n_points}"
                      + (":log" if s.scale == "log" else ""))
     for key, value in (("seed", seed), ("replications", replications), ("slots", slots),
-                       ("mode", mode), ("target", target)):
+                       ("window", window), ("warmup", warmup), ("target", target)):
         if value is not None:
             lines.append(f"{key}: {value}")
     return lines
@@ -294,26 +298,24 @@ def _cdf(params: NetworkParams, config: SimConfig) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    if args.mode != "exact" and args.target != "interference":
-        raise ValueError(f"--mode {args.mode} applies to --target interference only, "
-                         f"not {args.target}")
     config = SimConfig(n_slots=args.slots, n_replications=args.replications,
                        window_side=args.window, warmup=args.warmup)
-    if args.sweep and args.target in ("interference", "interference-cdf"):
+    if args.sweep and args.target.startswith("interference"):
         raise ValueError(f"target {args.target} does not support sweeps")
 
     def table_columns(table):
         # the interference targets sample the one-row table at point 0's seed
         seeded = replace(config, master_seed=_point_seed(args.seed, 0))
-        if args.target == "interference":
-            return {"i_s": interference_samples(_scalar(table), seeded, args.mode)}
+        if args.target in _INTERFERENCE_MODES:
+            return {"i_s": interference_samples(_scalar(table), seeded,
+                                                _INTERFERENCE_MODES[args.target])}
         if args.target == "interference-cdf":
             return _cdf(_scalar(table), seeded)
         validate(table, warn=False)
         return _simulated(table, config, args.target, args.seed)
     return _write_sweep(args, "simulate", table_columns, seed=args.seed,
-                        replications=args.replications, slots=args.slots, mode=args.mode,
-                        target=args.target)
+                        replications=args.replications, slots=args.slots,
+                        window=args.window, warmup=args.warmup, target=args.target)
 
 
 # -- optimize ------------------------------------------------------------------
@@ -354,11 +356,17 @@ def _study_params(**kw) -> NetworkParams:
     return validate(NetworkParams(**base), warn=False)
 
 
-def _sim_cfg(args, *, replications, slots, seed_index=0) -> SimConfig:
+def _sim_cfg(args, *, replications, slots) -> SimConfig:
     return SimConfig(
         n_replications=replications if args.replications is None else args.replications,
         n_slots=slots if args.slots is None else args.slots,
-        master_seed=_point_seed(args.seed, seed_index), window_side=args.window)
+        master_seed=_point_seed(args.seed, 0), window_side=args.window)
+
+
+def _sim_headers(args, command: str, base: NetworkParams, cfg: SimConfig) -> list[str]:
+    """The header of a simulated study: its seed and the run ``cfg`` sets."""
+    return _headers(command, base, seed=args.seed, replications=cfg.n_replications,
+                    slots=cfg.n_slots, window=cfg.window_side)
 
 
 def _figure_5(args) -> list:
@@ -366,8 +374,9 @@ def _figure_5(args) -> list:
     grid = np.linspace(0.01, 0.16, 20)
     table = _table(base, {"power_s": grid})
     cols = _analyze_columns(table)
-    hdr = _headers("figure 5", base, seed=args.seed)
-    ests = _simulated(table, _sim_cfg(args, replications=4, slots=60), "p_t", args.seed)
+    cfg = _sim_cfg(args, replications=4, slots=60)
+    hdr = _sim_headers(args, "figure 5", base, cfg)
+    ests = _simulated(table, cfg, "p_t", args.seed)
     return [(f"fig5_pt_{curve}.csv", hdr, {"power_s": grid, "p_t": cols[f"p_t_{curve}"]})
             for curve in ("exact", "lower", "upper")] + [
         ("fig5_pt_sim.csv", hdr, {"power_s": grid, **ests})]
@@ -399,17 +408,16 @@ def _figure_7(args) -> list:
 def _figure_8(args) -> list:
     base = _study_params(r_g=3.0, r_h=1.0, power_p=2.0, power_s=0.1, lambda_s=0.2)
     cfg = _sim_cfg(args, replications=10, slots=200)
-    hdr = _headers("figure 8", base, seed=args.seed,
-                   replications=cfg.n_replications, slots=cfg.n_slots)
-    return [("fig8_interference_cdf.csv", hdr, _cdf(base, cfg))]
+    return [("fig8_interference_cdf.csv", _sim_headers(args, "figure 8", base, cfg),
+             _cdf(base, cfg))]
 
 
-def _outage_study(args, figure, base, column, grid, fields, simulate) -> list:
+def _outage_study(args, figure, base, cfg, column, grid, fields, simulate) -> list:
     """Figures 9 and 10: primary and secondary outage against ``column`` over
     ``grid``, whose values set every parameter in ``fields``.  The analytic
     curves are ``analyze``'s; ``simulate(table, side, k)`` returns the k-th
-    side's estimates, one row per grid value."""
-    hdr = _headers(f"figure {figure}", base, seed=args.seed)
+    side's estimates, one row per grid value, simulated as ``cfg`` sets."""
+    hdr = _sim_headers(args, f"figure {figure}", base, cfg)
     table = _table(base, dict.fromkeys(fields, grid))
     cols = _analyze_columns(table)
     return [
@@ -426,21 +434,23 @@ def _figure_9(args) -> list:
     # 13 thresholds.
     base = _study_params(r_g=3.0, r_h=1.0, power_p=1.0, power_s=0.1, lambda_s=0.1)
     thetas = np.geomspace(1.0, 1000.0, 13)
+    cfg = _sim_cfg(args, replications=8, slots=150)
 
     def simulate(table, side, k):
         return _est_columns(outage_curve(
-            base, _sim_cfg(args, replications=8, slots=150, seed_index=k), side, thetas))
-    return _outage_study(args, 9, base, "theta", thetas, ("theta_p", "theta_s"), simulate)
+            base, replace(cfg, master_seed=_point_seed(args.seed, k)), side, thetas))
+    return _outage_study(args, 9, base, cfg, "theta", thetas, ("theta_p", "theta_s"),
+                         simulate)
 
 
 def _figure_10(args) -> list:
     base = _study_params(r_g=4.0, r_h=1.0, power_p=2.0, lambda_s=0.2)
     grid = np.linspace(0.02, 0.4, 10)
+    cfg = _sim_cfg(args, replications=6, slots=120)
 
     def simulate(table, side, k):
-        return _simulated(table, _sim_cfg(args, replications=6, slots=120),
-                          f"outage-{side}", args.seed, first=k * len(grid))
-    return _outage_study(args, 10, base, "power_s", grid, ("power_s",), simulate)
+        return _simulated(table, cfg, f"outage-{side}", args.seed, first=k * len(grid))
+    return _outage_study(args, 10, base, cfg, "power_s", grid, ("power_s",), simulate)
 
 
 def _optimum_curves(args, prefix, field, column, grid) -> list:
@@ -509,13 +519,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="Monte Carlo estimates")
     common(sp)
-    sp.add_argument("--target", choices=SIM_TARGETS, default="p_t")
+    sp.add_argument("--target", choices=SIM_TARGETS, default="p_t",
+                    help="interference samples the slotted dynamics' field, "
+                         "interference-approx the uniform Poisson surrogate and "
+                         "interference-cluster the charge-cluster surrogate")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--replications", type=int, default=10)
     sp.add_argument("--slots", type=int, default=200)
-    sp.add_argument("--mode", choices=("exact", "approx", "cluster"), default="exact",
-                    help="interference field: slotted dynamics, uniform Poisson "
-                         "surrogate, or charge-cluster surrogate")
     sp.add_argument("--window", type=float, default=None)
     sp.add_argument("--warmup", type=int, default=None)
     sp.set_defaults(fn=cmd_simulate)

@@ -89,6 +89,13 @@ def mu_secondary(eps_s: float, p_g: float) -> float:
 _COVERED = "guard zones cover the plane (p_g = 0)"
 
 
+def _uncharged(table: NetworkParams):
+    """(rows, message): the rows without chargers (lambda_p = 0), where no
+    secondary harvests, so none transmits at any density."""
+    return (table.lambda_p == 0, lambda k: (
+        "no chargers (lambda_p = 0): no secondary harvests energy to transmit"))
+
+
 def _budgets(table: NetworkParams):
     """(mu_p, mu_s, floor, covered) of each row of a table: both outage
     budgets as exponent bounds, the primary exponent the chargers alone
@@ -188,7 +195,7 @@ def _closed_form_rows(table: NetworkParams):
     _fail(p.noise != 0.0, lambda k: ValueError(
         "closed form requires zero noise; use solve_p1_numeric"))
     mp, ms, floor, covered = _budgets(p)
-    reasons = [(covered, lambda k: _COVERED),
+    reasons = [_uncharged(p), (covered, lambda k: _COVERED),
                (mp <= floor, lambda k: (
                    f"primary constraint unsatisfiable at lambda_s=0: mu_p={mp[k]:.6g} "
                    f"<= interference floor {floor[k]:.6g}"))]
@@ -208,7 +215,7 @@ def _numeric_rows(table: NetworkParams):
     p = table
     mp, ms, floor, covered = _budgets(p)
     noise_term = p.theta_p * _pow(p.d_p, p.alpha) * p.noise / p.power_p
-    reasons = [(covered, lambda k: _COVERED),
+    reasons = [_uncharged(p), (covered, lambda k: _COVERED),
                (mp - noise_term <= floor, lambda k: (
                    f"primary constraint unsatisfiable at lambda_s=0: mu_p={mp[k]:.6g} minus "
                    f"noise term {noise_term[k]:.6g} <= interference floor {floor[k]:.6g}"))]
@@ -239,19 +246,20 @@ def _numeric_rows(table: NetworkParams):
 
 def _p2_rows(table: NetworkParams):
     """(optimum, reasons) as for :func:`_closed_form_rows`, for the
-    dedicated-charger problem; no row is infeasible.  The power fills the
-    battery in one slot (m = 1), where p_t is exact."""
+    dedicated-charger problem; only a row without chargers is infeasible.
+    The power fills the battery in one slot (m = 1), where p_t is exact."""
     p = table
     _fail(p.r_g != 0.0, lambda k: ValueError(
         "the dedicated-charger problem has no guard zones; r_g must be 0"))
     _fail(p.noise != 0.0, lambda k: ValueError(
         "the dedicated-charger optimum is derived for zero noise"))
-    _links(p, True, ("d_s",))
+    reasons = [_uncharged(p)]
+    feasible = ~_infeasible(reasons)
+    _links(p, feasible, ("d_s",))
     mus = -_each(math.log1p, -p.eps_s)
     active = mus / (_pow(p.theta_s, 2.0 / p.alpha) * _pow(p.d_s, 2) * _each(phi, p.alpha))
     p_s_star = p.eta * p.power_p * _pow(p.r_h, -p.alpha)
-    return (np.ones(len(active), dtype=bool), p_s_star, active, math.nan, mus,
-            "secondary"), []
+    return (feasible, p_s_star, active, math.nan, mus, "secondary"), reasons
 
 
 def _solve_rows(table: NetworkParams):

@@ -561,15 +561,14 @@ def interference_samples(params: NetworkParams, config: SimConfig,
                        for rng in _rep_rngs(config) for _ in range(config.n_slots)])
 
 
-def _sinr_samples(params: NetworkParams, config: SimConfig, side: str,
-                  conditioning: str) -> list[np.ndarray]:
+def _sinr_samples(params: NetworkParams, config: SimConfig, side: str) -> list[np.ndarray]:
     """SINR samples at a probe receiver at the origin, one array per
-    replication, for a checked ``side`` and ``conditioning``."""
+    replication, for a checked ``side``."""
     p = params
     signal_power, link_dist = (p.power_p, p.d_p) if side == "primary" else (p.power_s, p.d_s)
     # A receiver at its transmitter has infinite SINR, so it never fails.
     path_gain = link_dist ** -p.alpha if link_dist > 0 else math.inf
-    reject = side == "secondary" and conditioning == "rejection" and p.r_g > 0
+    reject = side == "secondary" and p.r_g > 0
     rg2 = p.r_g ** 2
     samples = [[] for _ in range(config.n_replications)]
 
@@ -599,27 +598,20 @@ def _sinr_samples(params: NetworkParams, config: SimConfig, side: str,
 
 
 def outage_curve(params: NetworkParams, config: SimConfig, side: str,
-                 thetas, *, conditioning: str | None = None) -> list[SimEstimate]:
+                 thetas) -> list[SimEstimate]:
     """Simulated outage probabilities at several SINR thresholds.
 
     One dynamics run per replication supplies the SINR samples for every
     threshold.  ``side`` selects the probe link: 'primary' (extra always-on
     charger at distance d_p), 'secondary' (transmitter at distance d_s,
-    slots rejected while any active charger is within r_g of it), or 'wit'
-    (chargers on a dedicated band contribute no interference).
-    ``conditioning`` may be set to 'none' for an unconditioned secondary
-    estimate.  The link distance must be below half the window side.
+    slots rejected while any active charger is within r_g of it),
+    'secondary-unconditioned' (the same link, no slot rejected) or 'wit'
+    (chargers on a dedicated band contribute no interference).  The link
+    distance must be below half the window side.
     """
-    if side not in ("primary", "secondary", "wit"):
+    if side not in ("primary", "secondary", "secondary-unconditioned", "wit"):
         raise ValueError(f"unknown side {side!r}")
-    if conditioning is None:
-        conditioning = "rejection" if side == "secondary" else "none"
-    if conditioning not in ("rejection", "none"):
-        raise ValueError(f"unknown conditioning {conditioning!r}")
-    if conditioning == "rejection" and side != "secondary":
-        raise ValueError("rejection conditioning applies to the secondary side only")
-
-    if side == "secondary" and conditioning == "rejection":
+    if side == "secondary":
         pg = p_guard(params.lambda_p, params.r_g)
         if pg < 1e-4:
             raise ConditioningTooRareError(
@@ -638,8 +630,7 @@ def outage_curve(params: NetworkParams, config: SimConfig, side: str,
     if not (np.isfinite(thetas) & (thetas > 0)).all():
         raise ValueError(f"SINR thresholds must be finite and positive, got {thetas.tolist()}")
 
-    kept = [np.sort(sinr) for sinr in _sinr_samples(params, config, side, conditioning)
-            if len(sinr)]
+    kept = [np.sort(sinr) for sinr in _sinr_samples(params, config, side) if len(sinr)]
     n_kept = np.array([len(sinr) for sinr in kept], dtype=np.int64)
     total_kept, total_slots = int(n_kept.sum()), config.n_replications * config.n_slots
     if total_kept == 0 or total_kept / total_slots < 1e-4:

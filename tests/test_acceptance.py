@@ -253,7 +253,7 @@ def test_c5_supplementary_unconditioned_secondary_matches_exponent_form():
     conditioning step alone."""
     p = fig9_params()
     active = _fig9_active()
-    ests = rf.outage_curve(p, FIG9_CFG, "secondary", FIG9_THETAS, conditioning="none")
+    ests = rf.outage_curve(p, FIG9_CFG, "secondary-unconditioned", FIG9_THETAS)
     gaps = []
     ok = True
     for th, est in zip(FIG9_THETAS, ests):

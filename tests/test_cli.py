@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from rfharvest import load_params, params_to_dict, transmission_probability
-from rfharvest.cli import _CHUNK_ROWS, _fmt, _n_workers, _write_csv, main, parse_sweep
+from rfharvest.cli import (_CHUNK_ROWS, SIM_TARGETS, _fmt, _n_workers, _write_csv, main,
+                           parse_sweep)
 
 from conftest import make_params
 
@@ -268,16 +269,36 @@ def test_simulate_zero_replications_fails(config_path, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("target, mode", [("p_t", "approx"), ("outage-secondary", "cluster"),
-                                          ("interference-cdf", "approx")])
+                                          ("interference-cdf", "approx"),
+                                          ("interference", "approx")])
 def test_simulate_refuses_mode_its_target_ignores(config_path, tmp_path, capsys, target, mode):
-    # before: exit 0 with "# mode: approx" over exact results
+    # the target names the sampler (interference-approx, ...): no target takes --mode
     out = tmp_path / "x.csv"
-    rc = main(["simulate", "--config", config_path, "--out", str(out), "--target", target,
-               "--mode", mode, "--slots", "4"])
-    assert rc == 2
-    assert capsys.readouterr().err == (f"rfharvest: error: --mode {mode} applies to --target "
-                                       f"interference only, not {target}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", config_path, "--out", str(out), "--target", target,
+              "--mode", mode, "--slots", "4"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --mode {mode}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_simulate_help_lists_no_mode(capsys):
+    with pytest.raises(SystemExit):
+        main(["simulate", "--help"])
+    help_text = capsys.readouterr().out
+    assert "--target" in help_text and "--mode" not in help_text
+
+
+@pytest.mark.parametrize("target", SIM_TARGETS)
+def test_every_simulate_target_runs_and_names_itself(config_path, tmp_path, monkeypatch,
+                                                     target):
+    monkeypatch.setenv("RFH_THREADS", "1")
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", config_path, "--out", str(out), "--target", target,
+                 "--replications", "1", "--slots", "3", "--warmup", "2",
+                 "--window", "40"]) == 0
+    headers, _, rows = read_csv(out)
+    assert headers[-1] == f"target: {target}" and rows
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -347,8 +368,7 @@ def test_simulate_oversized_window_fails_cleanly(config_path, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("target", [["--target", "p_t"],
-                                    ["--target", "interference", "--mode", "approx"]],
+@pytest.mark.parametrize("target", [["--target", "p_t"], ["--target", "interference-approx"]],
                          ids=["p_t", "interference-approx"])
 def test_simulate_refuses_window_too_large_to_draw(config_path, tmp_path, capsys, target):
     p = load_params(config_path)
@@ -391,7 +411,7 @@ def _data_lines(path) -> list[str]:
 
 @pytest.mark.parametrize("lambda_p_total", [0.01, 0.0])
 @pytest.mark.parametrize("target", [["p_t"], ["outage-primary"], ["outage-wit"],
-                                    ["interference", "--mode", "cluster"],
+                                    ["interference-cluster"],
                                     ["interference-cdf"]], ids=lambda t: "-".join(t))
 def test_simulate_refuses_huge_guard_radius_at_any_primary_density(tmp_path, capsys, target,
                                                                    lambda_p_total):
@@ -465,11 +485,11 @@ def test_simulate_interference_cdf(config_path, tmp_path):
 def test_simulate_interference_cluster_mode(config_path, tmp_path):
     out = tmp_path / "i.csv"
     rc = main(["simulate", "--config", config_path, "--out", str(out),
-               "--target", "interference", "--mode", "cluster", "--replications", "2",
+               "--target", "interference-cluster", "--replications", "2",
                "--slots", "10", "--window", "60", "--seed", "4"])
     assert rc == 0
     comments, cols, rows = read_csv(out)
-    assert "mode: cluster" in comments
+    assert "target: interference-cluster" in comments
     assert cols == ["i_s"] and len(rows) == 20
     assert all(float(r[0]) >= 0.0 for r in rows)
 
@@ -571,6 +591,29 @@ def test_header_echo_reproduces_file(config_path, tmp_path, monkeypatch):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_header_rebuilds_the_simulate_command(config_path, tmp_path, monkeypatch):
+    # Every option simulate ran with is in its header: the command rebuilt
+    # from the header alone writes the same bytes.  Before, the header left
+    # out --window and --warmup, so the rebuilt command ran the defaults.
+    monkeypatch.setenv("RFH_THREADS", "1")
+    out1 = tmp_path / "one.csv"
+    assert main(["simulate", "--config", config_path, "--out", str(out1),
+                 "--target", "outage-secondary"] + SIM_ARGS) == 0
+    headers, _, _ = read_csv(out1)
+    entries = [h.split(": ", 1) for h in headers[1:]]
+    assert entries[0] == ["command", "simulate"]
+    cfg2 = tmp_path / "echoed.json"
+    out2 = tmp_path / "two.csv"
+    argv = ["simulate", "--out", str(out2)]
+    for key, value in entries[1:]:
+        if key == "config":
+            cfg2.write_text(value)
+            value = str(cfg2)
+        argv += [f"--{key}", value]
+    assert main(argv) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
 # -- scripts -----------------------------------------------------------------------
 
 
@@ -607,7 +650,7 @@ def test_simulator_never_imports_numpy_ma(config_path, tmp_path):
         ["simulate", "--config", cfg, "--out", str(tmp_path / "os.csv"),
          "--target", "outage-secondary", "--warmup", "5"] + tiny,
         ["simulate", "--config", cfg, "--out", str(tmp_path / "i.csv"),
-         "--target", "interference", "--mode", "cluster"] + tiny,
+         "--target", "interference-cluster"] + tiny,
         ["figure", "--id", "9", "--out-dir", fig] + tiny,
     ]
     code = ("import json, sys\n"

@@ -35,9 +35,9 @@ FIGURE = ["--seed", "3", "--replications", "2", "--slots", "10", "--window", "40
 CASES = {
     **{f"simulate_{t}": (["simulate", "--target", t] + SIM + POWER_SWEEP, "file")
        for t in ("p_t", "outage-primary", "outage-secondary", "outage-wit")},
-    **{f"interference_{m}": (["simulate", "--target", "interference", "--mode", m] + SIM,
-                             "file")
-       for m in ("exact", "approx", "cluster")},
+    **{f"interference_{m}": (["simulate", "--target", t] + SIM, "file")
+       for m, t in (("exact", "interference"), ("approx", "interference-approx"),
+                    ("cluster", "interference-cluster"))},
     "interference-cdf": (["simulate", "--target", "interference-cdf"] + SIM, "file"),
     "analyze": (["analyze", "--sweep", "power_s=0.05:0.4:6",
                  "--sweep", "lambda_p_total=0.005:0.05:5"], "file"),
@@ -56,7 +56,7 @@ CASES = {
     # both P1 solvers, infeasible rows at both edges
     "optimize_edges": (["optimize", "--sweep", "eps_p=0.01:0.6:5",
                         "--sweep", "noise=0:0.2:3"], "file"),
-    # lambda_p = 0: no chargers, so lambda_s_star is inf
+    # lambda_p = 0: no chargers, so no secondary transmits and those rows are infeasible
     "optimize_no_chargers": (["optimize", "--sweep", "lambda_p_total=0:0.03:3",
                               "--sweep", "noise=0:0.2:2"], "file"),
     **{f"figure{i}": (["figure", "--id", str(i)] + FIGURE, "dir") for i in range(5, 14)},
@@ -115,9 +115,9 @@ def test_figure_9_runs_one_outage_curve_per_side(tmp_path, monkeypatch):
     runs, batches = [], []
     curve, step = cli.outage_curve, sim_module.SlotSimulator.step
 
-    def recorded(params, config, side, thetas, **kw):
+    def recorded(params, config, side, thetas):
         runs.append((side, config.n_replications))
-        return curve(params, config, side, thetas, **kw)
+        return curve(params, config, side, thetas)
 
     def counted(sim):
         batches.append(sim.n_reps)

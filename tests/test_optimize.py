@@ -67,6 +67,21 @@ def test_vanishing_primary_budget_is_infeasible():
         solve_p1_closed_form(worked_params(eps_p=1e-9))
 
 
+@pytest.mark.parametrize("solver, kw", [
+    (solve_p1_closed_form, {}), (solve_p1_numeric, {"noise": 0.2}), (solve_p2, {"r_g": 0.0}),
+    (solve, {}), (solve, {"noise": 0.2}), (solve, {"r_g": 0.0})])
+def test_no_chargers_is_infeasible(solver, kw):
+    # Without chargers no secondary harvests: p_t = 0 at every power.
+    # Before, the row was "ok" with lambda_s_star = inf.
+    p = worked_params(lambda_p_total=0.0, **kw)
+    with pytest.raises(InfeasibleError, match=r"no chargers \(lambda_p = 0\)"):
+        solver(p)
+    res = solver(NetworkParams(**{f.name: np.array([getattr(p, f.name)] * 2)
+                                  for f in dataclasses.fields(NetworkParams)}))
+    assert res.binding.tolist() == ["", ""] and np.isnan(res.lambda_s_star).all()
+    assert np.isnan(res.throughput).all() and np.isnan(res.p_s_star).all()
+
+
 def test_feasibility_edge():
     p = worked_params()
     floor = phi(4.0) * math.sqrt(5.0) * 0.25

@@ -371,13 +371,13 @@ def reference_slots(p, cfg, measure, **kw):
     return samples
 
 
-def reference_sinr_samples(p, cfg, side, conditioning, seen):
+def reference_sinr_samples(p, cfg, side, seen):
     """SINR samples of each replication stepped alone, its fading drawn set by
     set; counts in ``seen`` the slots without chargers, without
     transmitters, and rejected."""
     signal_power, link_dist = (p.power_p, p.d_p) if side == "primary" else (p.power_s, p.d_s)
     path_gain = link_dist ** -p.alpha if link_dist > 0 else math.inf
-    reject = side == "secondary" and conditioning == "rejection" and p.r_g > 0
+    reject = side == "secondary" and p.r_g > 0
 
     def measure(sim, rng, out):
         act = active_pt_xy(sim, 0)
@@ -405,8 +405,7 @@ def assert_bit_identical(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-PROBE_RUNS = [("primary", "none"), ("secondary", "rejection"), ("secondary", "none"),
-              ("wit", "none")]
+PROBE_RUNS = ["primary", "secondary", "secondary-unconditioned", "wit"]
 
 
 @pytest.mark.parametrize("batch_secondaries", [2 ** 17, 40])
@@ -419,11 +418,11 @@ def test_batched_probe_matches_per_replication_loop(monkeypatch, batch_secondari
     p = make_params(lambda_s=0.05, lambda_p_total=0.004, power_p=2.0, noise=noise)
     monkeypatch.setattr(sim_module, "_BATCH_SECONDARIES", batch_secondaries)
     seen = dict.fromkeys(("chargerless", "silent", "rejected"), 0)
-    for k, (side, conditioning) in enumerate(PROBE_RUNS):
+    for k, side in enumerate(PROBE_RUNS):
         cfg = small_cfg(window_side=20.0, n_slots=30, n_replications=5, warmup=10,
                         master_seed=40 + k)
-        assert_bit_identical(sim_module._sinr_samples(p, cfg, side, conditioning),
-                             reference_sinr_samples(p, cfg, side, conditioning, seen))
+        assert_bit_identical(sim_module._sinr_samples(p, cfg, side),
+                             reference_sinr_samples(p, cfg, side, seen))
     assert min(seen.values()) > 0, seen
 
 
@@ -686,8 +685,9 @@ def test_outage_sides_and_conditioning_validation():
     p = make_params(lambda_s=0.05)
     with pytest.raises(ValueError, match="unknown side"):
         outage_curve(p, small_cfg(), "tertiary", [1.0])
-    with pytest.raises(ValueError, match="rejection conditioning"):
-        outage_curve(p, small_cfg(), "primary", [1.0], conditioning="rejection")
+    # the side names the conditioning: there is no second selector
+    with pytest.raises(TypeError, match="conditioning"):
+        outage_curve(p, small_cfg(), "secondary", [1.0], conditioning="none")
 
 
 def test_conditioning_too_rare_raises():
