@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -24,8 +23,8 @@ from .analytics import (outage_primary, outage_secondary, transmission_probabili
 from .optimize import solve
 from .params import (NetworkParams, _distinct, _scalar, _table, _take, charging_geometry,
                      load_params, params_to_dict, validate)
-from .sim import (ConditioningTooRareError, SimConfig, estimate_outage, estimate_p_t,
-                  interference_samples, outage_curve)
+from .sim import (ConditioningTooRareError, SimConfig, _geometry, estimate_outage,
+                  estimate_p_t, interference_samples, outage_curve)
 
 __all__ = ["main", "SweepSpec", "parse_sweep"]
 
@@ -186,6 +185,11 @@ def _write_csv(path, header_lines, columns: dict) -> None:
             fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
+def _shortest(x: float) -> str:
+    """The shortest text that parses back to ``x``, without a trailing ``.0``."""
+    return repr(float(x)).removesuffix(".0")
+
+
 def _headers(command: str, params: NetworkParams, *, sweeps=(), seed=None,
              replications=None, slots=None, window=None, warmup=None,
              target=None) -> list[str]:
@@ -193,7 +197,7 @@ def _headers(command: str, params: NetworkParams, *, sweeps=(), seed=None,
              "config: " + json.dumps(params_to_dict(params), sort_keys=True,
                                      separators=(",", ":"))]
     for s in sweeps:
-        lines.append(f"sweep: {s.name}={s.start:g}:{s.stop:g}:{s.n_points}"
+        lines.append(f"sweep: {s.name}={_shortest(s.start)}:{_shortest(s.stop)}:{s.n_points}"
                      + (":log" if s.scale == "log" else ""))
     for key, value in (("seed", seed), ("replications", replications), ("slots", slots),
                        ("window", window), ("warmup", warmup), ("target", target)):
@@ -218,6 +222,8 @@ def _pooled_map(fn, jobs):
     workers = min(_n_workers(), len(jobs))
     if workers <= 1 or len(jobs) <= 1:
         return [fn(job) for job in jobs]
+    # Imported here: it costs every other command ~20 ms of start-up.
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))
 
@@ -272,21 +278,29 @@ def _est_columns(ests) -> dict:
             "n_samples": np.array([e.n_samples for e in ests], dtype=np.int64)}
 
 
-def _simulate_point(job):
-    params, config, target = job
+def _simulate_group(job) -> dict:
+    """The estimate columns of a p_t group, in one run, or of one outage row."""
+    table, config, target = job
     if target == "p_t":
-        return estimate_p_t(params, config)
-    return estimate_outage(params, config, target.removeprefix("outage-"))
+        est = estimate_p_t(table, config)
+        return {"estimate": est.mean, "half_width": est.half_width, "n_samples": est.n_samples}
+    return _est_columns([estimate_outage(_scalar(table), config, target.removeprefix("outage-"))])
 
 
 def _simulated(table: NetworkParams, config: SimConfig, target: str, seed: int,
                first: int = 0) -> dict:
-    """``target``'s estimate at each row of ``table``, the rows on the process
-    pool, row i seeded by point ``first + i`` of ``seed``."""
-    return _est_columns(_pooled_map(_simulate_point, [
-        (_scalar(_take(table, slice(i, i + 1))),
-         replace(config, master_seed=_point_seed(seed, first + i)), target)
-        for i in range(len(table.power_s))]))
+    """``target``'s estimate at each row of ``table``, by groups of rows on the
+    process pool, each seeded by point ``first + i`` of ``seed`` at its first
+    row i.  A p_t group shares a ``sim._geometry``; an outage row is alone."""
+    groups = {}
+    for i, key in enumerate(_geometry(table) if target == "p_t" else range(len(table.power_s))):
+        groups.setdefault(key, []).append(i)
+    rows = list(groups.values())
+    parts = _pooled_map(_simulate_group, [
+        (_take(table, r), replace(config, master_seed=_point_seed(seed, first + r[0])), target)
+        for r in rows])
+    order = np.argsort(np.concatenate(rows))
+    return {name: np.concatenate([part[name] for part in parts])[order] for name in parts[0]}
 
 
 def _cdf(params: NetworkParams, config: SimConfig) -> dict:

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .analytics import p_guard, p_harvest, transmission_probability
-from .params import NetworkParams, charging_geometry
+from .params import NetworkParams, _is_table, _one_row, _scalar, _take, charging_geometry
 
 __all__ = [
     "SimConfig",
@@ -168,6 +168,10 @@ def _min_image_d2(d: np.ndarray, side: float) -> np.ndarray:
     return d[..., 0] + d[..., 1]
 
 
+# Cell keys and point numbers below this bound are stored as int32.
+_INT32_INDEX_LIMIT = 2 ** 31
+
+
 class _CellList:
     """Fixed points bucketed into torus cells of side >= ``radius``, an n x n
     grid for each replication of a batch.
@@ -200,11 +204,15 @@ class _CellList:
         # holds columns c - 1, c and c + 1 so stored, merged by row: the
         # 3 x 3 cells around any cell of column c are one contiguous run.
         self._m = m = n + 2
-        k = self._grid(xy)
-        column = k[:, 0] if rep is None else rep * n + k[:, 0]
+        # Keys and point numbers are int32 wherever both fit, which halves
+        # the build's sort keys and the stored order.
+        index = np.int32 if max(n_reps * n * m, len(xy)) < _INT32_INDEX_LIMIT else np.intp
+        k = self._grid(xy, index)
+        column = k[:, 0] if rep is None else rep.astype(index) * n + k[:, 0]
         wrap_lo = np.flatnonzero(k[:, 1] == n - 1)
         wrap_hi = np.flatnonzero(k[:, 1] == 0)
-        point = np.concatenate([np.arange(len(xy)), wrap_lo, wrap_hi])
+        point = np.concatenate([np.arange(len(xy), dtype=index), wrap_lo.astype(index),
+                                wrap_hi.astype(index)])
         cell = np.concatenate([column * m + k[:, 1] + 1, column[wrap_lo] * m,
                                column[wrap_hi] * m + n + 1])
         # Deduplicated, so that under three cells per side no block holds a
@@ -214,18 +222,20 @@ class _CellList:
         offsets = sorted({-1 % n, 0, 1 % n})
         c = np.arange(n)[:, None]
         # shift[c, j] moves a key from column c to the same row of block (c + offsets[j]) % n
-        shift = ((c + offsets) % n - c) * m
+        shift = (((c + offsets) % n - c) * m).astype(index)
         cell = (cell[:, None] + shift[k[point, 0]]).ravel()
+        del k, column, wrap_lo, wrap_hi, shift
         # The order within a cell changes no minimum, so the sort need not be stable
         self._order = np.repeat(point, len(offsets)).take(np.argsort(cell))
+        del point
         self._xy = xy.take(self._order, axis=0)
         self._n_points = len(xy)
         self._start = np.zeros(n_reps * n * m + 1, dtype=np.intp)
         np.cumsum(np.bincount(cell, minlength=n_reps * n * m), out=self._start[1:])
 
-    def _grid(self, xy: np.ndarray) -> np.ndarray:
+    def _grid(self, xy: np.ndarray, dtype=np.intp) -> np.ndarray:
         """Integer (column, row) cell coordinates of each point, shape (len(xy), 2)."""
-        k = np.floor((xy + self.window / 2.0) * (self.n / self.window)).astype(np.intp)
+        k = np.floor((xy + self.window / 2.0) * (self.n / self.window)).astype(dtype)
         k %= self.n
         return k
 
@@ -252,6 +262,12 @@ class _CellList:
         return nearest
 
 
+def _geometry(table: NetworkParams) -> list[tuple]:
+    """Each row's bit patterns of the only fields the draws and zones read."""
+    names = ("lambda_s", "lambda_p", "r_g", "r_h")
+    return list(zip(*(getattr(table, name).view(np.int64).tolist() for name in names)))
+
+
 class SlotSimulator:
     """Advances the network state of a batch of replications slot by slot,
     all of them in lockstep.
@@ -270,6 +286,10 @@ class SlotSimulator:
     draws each replication's chargers from its own stream, then makes one
     nearest-charger query and one battery update for the whole batch.
 
+    ``params`` may be a table whose rows share one :func:`_geometry`: then
+    ``battery``, ``st_transmit`` and ``st_harvest`` hold a row per table row
+    (one row for a parameter set), and ``self.params`` is table row 0.
+
     An optional ``dedicated_pt`` is an always-active extra charger in every
     replication, used to realize a conditioned transmitter near a probe
     receiver.
@@ -277,7 +297,10 @@ class SlotSimulator:
 
     def __init__(self, params: NetworkParams, config: SimConfig,
                  rngs: list[np.random.Generator], *, dedicated_pt: np.ndarray | None = None):
-        self.params = params
+        rows = params if _is_table(params) else _one_row(params)
+        if len(set(_geometry(rows))) > 1:
+            raise ValueError("table rows must agree in lambda_s, lambda_p, r_g and r_h")
+        self.params = params = _scalar(_take(rows, slice(0, 1)))
         self.rngs = list(rngs)
         self.n_reps = len(self.rngs)
         self.window = config.resolved_window(params)
@@ -288,7 +311,10 @@ class SlotSimulator:
         self.dedicated_pt = None if dedicated_pt is None else np.asarray(dedicated_pt, float)
         if self.dedicated_pt is not None:
             self._dedicated_xy = np.tile(self.dedicated_pt, (self.n_reps, 1))
-        self._full_level = params.power_s * (1.0 - 1e-12)
+        self._cap = rows.power_s
+        self._full_level = rows.power_s[:, None] * (1.0 - 1e-12)
+        self._gain = rows.eta * rows.power_p
+        self._exponent = -rows.alpha / 2.0
         self._rg2 = params.r_g ** 2
         self._rh2 = params.r_h ** 2
         self._place(*self._draw(params.lambda_s))
@@ -304,9 +330,9 @@ class SlotSimulator:
         ``st_off[r]:st_off[r + 1]``, with empty batteries."""
         self.st_xy, self.st_off = st_xy, st_off
         self.st_rep = np.repeat(self._reps, np.diff(st_off))
-        self.battery = np.zeros(len(st_xy))
-        self.st_transmit = np.zeros(len(st_xy), dtype=bool)
-        self.st_harvest = np.zeros(len(st_xy), dtype=bool)
+        self.battery = np.zeros((len(self._cap), len(st_xy)))
+        self.st_transmit = np.zeros(self.battery.shape, dtype=bool)
+        self.st_harvest = np.zeros(self.battery.shape, dtype=bool)
         # Nothing beyond both radii matters to a secondary, and secondaries
         # do not move: index them once for the per-slot nearest-charger query.
         self._st_cells = _CellList(st_xy, self.window, max(self.params.r_g, self.params.r_h),
@@ -344,9 +370,11 @@ class SlotSimulator:
         transmit = full & ~in_guard
         harvest = ~full & in_harv
 
-        if harvest.any():
-            gain = p.eta * p.power_p * nearest2[harvest] ** (-p.alpha / 2.0)
-            self.battery[harvest] = np.minimum(self.battery[harvest] + gain, p.power_s)
+        k = np.flatnonzero(harvest)  # 3-8x faster than np.nonzero's (row, column) pairs
+        row, st = np.divmod(k, self.n_st)
+        battery = self.battery.reshape(-1)
+        gain = self._gain[row] * nearest2[st] ** self._exponent[row]
+        battery[k] = np.minimum(battery[k] + gain, self._cap[row])
         self.battery[transmit] = 0.0
         self.st_transmit = transmit
         self.st_harvest = harvest
@@ -355,9 +383,9 @@ class SlotSimulator:
 # -- estimators ----------------------------------------------------------------
 
 # A lockstep batch holds consecutive replications whose expected secondaries
-# total at most this many (one window-1000 replication at lambda_s = 0.1), so
-# a batch's state and per-slot temporaries stay within those of one such
-# replication; wider windows run one replication per batch.
+# times table rows total at most this many (one window-1000 replication at
+# lambda_s = 0.1), so a batch's state and per-slot temporaries stay within
+# those of one such replication; wider windows run one replication per batch.
 _BATCH_SECONDARIES = 2 ** 17
 
 # Most slots (warm-up plus measured) one replication may run.  The default
@@ -375,37 +403,43 @@ def _rep_rngs(config: SimConfig) -> list[np.random.Generator]:
 def _measured_slots(params: NetworkParams, config: SimConfig, measure, *,
                     dedicated_pt: np.ndarray | None = None) -> None:
     """The slot driver: steps the replications of ``config`` and calls
-    ``measure(sim, reps)`` after each measured slot.  An optional
+    ``measure(sim, reps, live)`` after each measured slot; for a table
+    (:class:`SlotSimulator`) row k measures the ``n_slots`` after its own
+    warm-up, and the mask ``live`` picks the rows measuring.  An optional
     ``dedicated_pt`` is an always-active charger in every replication.
 
     The replications run in lockstep batches.  ``sim`` is the batch's
     :class:`SlotSimulator`, fresh for each batch, and the slice ``reps``
     picks its replications out of all of them, so ``sim`` replication r is
-    replication ``reps.start + r``.  Each batch runs the warm-up, then the
-    measured slots; ``measure`` reads a slot's state (and may draw from
+    replication ``reps.start + r``.  Each batch runs until the last row's
+    measured slots end; ``measure`` reads a slot's state (and may draw from
     ``sim.rngs``) before the next step.  Each replication draws from its own
     stream in the order a lone replication would, and every state update is
     elementwise, so batching changes no value.  A batch is released before
     the next one is built, which a generator could not ensure: its caller
     would hold the last batch while the next one runs.
     """
-    warmup = config.resolved_warmup(params)
-    if warmup + config.n_slots > MAX_REPLICATION_SLOTS:
-        raise ValueError(
-            f"a replication would run {warmup} warm-up slots (m_slots = "
-            f"{charging_geometry(params).m_slots}) plus {config.n_slots} measured slots, "
-            f"over the limit of {MAX_REPLICATION_SLOTS}")
-    window = config.resolved_window(params)
-    expected = params.lambda_s * window * window  # inf, not OverflowError, if huge
+    rows = [params] if not _is_table(params) else [
+        _scalar(_take(params, slice(k, k + 1))) for k in range(len(params.power_s))]
+    warmups = [config.resolved_warmup(row) for row in rows]
+    for row, warmup in zip(rows, warmups):
+        if warmup + config.n_slots > MAX_REPLICATION_SLOTS:
+            raise ValueError(
+                f"a replication would run {warmup} warm-up slots (m_slots = "
+                f"{charging_geometry(row).m_slots}) plus {config.n_slots} measured slots, "
+                f"over the limit of {MAX_REPLICATION_SLOTS}")
+    window = config.resolved_window(rows[0])
+    expected = rows[0].lambda_s * window * window * len(rows)  # inf, not OverflowError
     size = max(1, int(_BATCH_SECONDARIES / max(expected, 1.0)))
     rngs = _rep_rngs(config)
     for first in range(0, len(rngs), size):
         reps = slice(first, min(first + size, len(rngs)))
         sim = SlotSimulator(params, config, rngs[reps], dedicated_pt=dedicated_pt)
-        for i in range(warmup + config.n_slots):
+        for i in range(max(warmups) + config.n_slots):
             sim.step()
-            if i >= warmup:
-                measure(sim, reps)
+            live = np.array([w <= i < w + config.n_slots for w in warmups])
+            if live.any():
+                measure(sim, reps, live)
         del sim
 
 
@@ -425,12 +459,19 @@ def _combine(rep_means, rep_counts) -> SimEstimate:
 
 
 def estimate_p_t(params: NetworkParams, config: SimConfig) -> SimEstimate:
-    """Long-run fraction of (transmitter, slot) pairs in transmitting mode."""
-    hits = np.zeros(config.n_replications, dtype=np.int64)
+    """Long-run fraction of (transmitter, slot) pairs in transmitting mode.
+
+    For a table of one geometry (:class:`SlotSimulator`) one run serves all
+    rows, and each field is a column whose row k equals, bit for bit, the
+    estimate of row k alone at the same ``config``.
+    """
+    hits = np.zeros((np.size(params.power_s), config.n_replications), dtype=np.int64)
     n_st = np.zeros(config.n_replications, dtype=np.int64)
 
-    def measure(sim, reps):
-        hits[reps] += np.bincount(sim.st_rep[sim.st_transmit], minlength=sim.n_reps)
+    def measure(sim, reps, live):
+        tx = np.flatnonzero(sim.st_transmit[live])
+        ends = np.arange(live.sum())[:, None] * sim.n_st + sim.st_off
+        hits[live, reps] += np.diff(np.searchsorted(tx, ends), axis=1)
         n_st[reps] = np.diff(sim.st_off)
 
     _measured_slots(params, config, measure)
@@ -438,7 +479,8 @@ def estimate_p_t(params: NetworkParams, config: SimConfig) -> SimEstimate:
         raise ValueError("window contains no secondary transmitters; "
                          "increase lambda_s or the window side")
     samples = n_st * config.n_slots
-    return _combine(hits / samples, samples)
+    ests = [_combine(h / samples, samples) for h in hits]
+    return SimEstimate(*map(np.array, zip(*map(astuple, ests)))) if _is_table(params) else ests[0]
 
 
 def _path_loss(xy: np.ndarray, alpha: float) -> np.ndarray:
@@ -537,7 +579,7 @@ def interference_samples(params: NetworkParams, config: SimConfig,
     if mode == "exact":
         samples = [[] for _ in range(config.n_replications)]
 
-        def measure(sim, reps):
+        def measure(sim, reps, _live):
             _, tx_loss, tx_off = _slot_losses(sim)
             for r, rng in enumerate(sim.rngs):
                 a, b = tx_off[r], tx_off[r + 1]
@@ -572,7 +614,7 @@ def _sinr_samples(params: NetworkParams, config: SimConfig, side: str) -> list[n
     rg2 = p.r_g ** 2
     samples = [[] for _ in range(config.n_replications)]
 
-    def measure(sim, reps):
+    def measure(sim, reps, _live):
         pt_loss, tx_loss, tx_off = _slot_losses(sim)
         if reject:
             close = _min_image_d2(sim.pt_xy - (p.d_s, 0.0), sim.window) <= rg2

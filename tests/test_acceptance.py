@@ -23,6 +23,7 @@ from scipy.stats import ks_2samp
 
 import rfharvest as rf
 from rfharvest.cli import main as cli_main
+from rfharvest.params import _table
 
 from conftest import make_params
 
@@ -84,13 +85,14 @@ def test_c1_solver_reproduces_closed_forms_fast():
 
 
 def test_c2_transmit_probability_sweep():
+    # One dynamics run over the 20-row table, each row's estimate equal to
+    # its own run at seed 42
     grid = np.linspace(0.01, 0.16, 20)
-    sims, anas = [], []
-    for ps in grid:
-        p = fig5_params(power_s=float(ps))
-        cfg = rf.SimConfig(n_slots=60, n_replications=6, master_seed=42)
-        sims.append(rf.estimate_p_t(p, cfg))
-        anas.append(rf.transmission_probability(p))
+    cfg = rf.SimConfig(n_slots=60, n_replications=6, master_seed=42)
+    table = rf.estimate_p_t(_table(fig5_params(), {"power_s": grid}), cfg)
+    sims = [rf.SimEstimate(*row) for row in zip(
+        table.mean.tolist(), table.half_width.tolist(), table.n_samples.tolist())]
+    anas = [rf.transmission_probability(fig5_params(power_s=float(ps))) for ps in grid]
     assert all(e.n_samples >= 100_000 for e in sims)
 
     ok = True

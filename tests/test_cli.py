@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -9,9 +10,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rfharvest import load_params, params_to_dict, transmission_probability
-from rfharvest.cli import (_CHUNK_ROWS, SIM_TARGETS, _fmt, _n_workers, _write_csv, main,
-                           parse_sweep)
+from rfharvest import (SimConfig, estimate_p_t, load_params, params_to_dict,
+                       transmission_probability)
+from rfharvest import sim as sim_module
+from rfharvest.cli import (_CHUNK_ROWS, SIM_TARGETS, _fmt, _n_workers, _point_seed, _write_csv,
+                           main, parse_sweep)
 
 from conftest import make_params
 
@@ -241,6 +244,57 @@ def test_simulate_deterministic_across_runs_and_workers(config_path, tmp_path,
         assert rc == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_power_sweep_runs_one_dynamics_per_charger_density(config_path, tmp_path,
+                                                           monkeypatch):
+    # The power_s rows of one lambda_p_total draw the same geometry, so they
+    # share one SlotSimulator, seeded by the group's first row.  Each row
+    # still equals its own run at that seed, after its own warm-up (the
+    # coupling bound at m_slots = 1, 100 slots at m_slots 2 and 3).
+    monkeypatch.setenv("RFH_THREADS", "1")
+    built = []
+
+    class Counted(sim_module.SlotSimulator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(len(self.battery))
+
+    monkeypatch.setattr(sim_module, "SlotSimulator", Counted)
+    out = tmp_path / "pt.csv"
+    assert main(["simulate", "--config", config_path, "--out", str(out),
+                 "--sweep", "power_s=0.1:0.5:3", "--sweep", "lambda_p_total=0.005:0.02:2",
+                 "--replications", "2", "--slots", "6", "--window", "40", "--seed", "7"]) == 0
+    assert built == [3, 3]
+    monkeypatch.undo()
+    _, cols, rows = read_csv(out)
+    assert cols == ["power_s", "lambda_p_total", "estimate", "half_width", "n_samples"]
+    base = load_params(config_path)
+    powers, densities = np.linspace(0.1, 0.5, 3), np.linspace(0.005, 0.02, 2)
+    for i, row in enumerate(rows):
+        p = dataclasses.replace(base, power_s=powers[i // 2], lambda_p_total=densities[i % 2])
+        est = estimate_p_t(p, SimConfig(n_slots=6, n_replications=2, window_side=40.0,
+                                        master_seed=_point_seed(7, i % 2)))
+        assert row[2:] == [_fmt(est.mean), _fmt(est.half_width), _fmt(est.n_samples)]
+    assert len({tuple(row[2:]) for row in rows}) > 2
+
+
+def test_one_group_sweep_imports_no_process_pool(config_path, tmp_path):
+    # Only a sweep of several groups uses the pool; importing the CLI and
+    # running a one-group power sweep on 2 workers leave it unloaded
+    argv = ["simulate", "--config", config_path, "--out", str(tmp_path / "pt.csv")] + SIM_ARGS
+    code = ("import sys\n"
+            "from rfharvest.cli import main\n"
+            "print('concurrent.futures.process' in sys.modules)\n"
+            f"assert main({argv!r}) == 0\n"
+            "print('concurrent.futures.process' in sys.modules)\n")
+    env = dict(os.environ, RFH_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "False"]
 
 
 @pytest.mark.parametrize("bad", ["abc", "2.5", "0", "-3"])
@@ -612,6 +666,18 @@ def test_header_rebuilds_the_simulate_command(config_path, tmp_path, monkeypatch
         argv += [f"--{key}", value]
     assert main(argv) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_sweep_header_reproduces_its_grid(config_path, tmp_path):
+    # The recorded sweep parses back to the file's first column.  Before,
+    # its bounds had six significant digits: 0.1234567 was recorded as 0.123457.
+    out = tmp_path / "a.csv"
+    assert main(["analyze", "--config", config_path, "--out", str(out),
+                 "--sweep", "power_s=0.1234567:0.2:3"]) == 0
+    headers, _, rows = read_csv(out)
+    (sweep,) = [h[len("sweep: "):] for h in headers if h.startswith("sweep: ")]
+    assert sweep == "power_s=0.1234567:0.2:3"
+    assert [_fmt(v) for v in parse_sweep(sweep).values().tolist()] == [r[0] for r in rows]
 
 
 # -- scripts -----------------------------------------------------------------------

@@ -103,7 +103,7 @@ def test_pooled_figures_unchanged_by_worker_count(name, workers, tmp_path, monke
 def test_figure_9_starts_no_process_pool(tmp_path, monkeypatch):
     # its two outage runs fork no worker to add to its memory
     monkeypatch.setenv("RFH_THREADS", "2")
-    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                         lambda *a, **kw: pytest.fail("figure 9 started a process pool"))
     assert_golden("figure9", tmp_path)
 

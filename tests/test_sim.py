@@ -13,6 +13,7 @@ from rfharvest import (ConditioningTooRareError, SimConfig, SlotSimulator,
                        interference_samples, outage_curve, outage_primary,
                        outage_secondary, p_guard, p_harvest, phi, transmission_probability)
 from rfharvest import sim as sim_module
+from rfharvest.params import _table
 from rfharvest.sim import (_CellList, _cluster_rates, _cluster_transmitters, _combine,
                            _hppp, _min_image_d2, _rep_rngs, _shot_noise)
 
@@ -34,7 +35,7 @@ def active_pt_xy(sim, r):
 def transmitting_st_xy(sim, r):
     """Replication r's transmitting secondaries this slot."""
     a, b = sim.st_off[r], sim.st_off[r + 1]
-    return sim.st_xy[a:b][sim.st_transmit[a:b]]
+    return sim.st_xy[a:b][sim.st_transmit[0, a:b]]
 
 
 def small_cfg(**kw):
@@ -208,6 +209,25 @@ def test_cell_list_holds_each_point_at_most_three_times(radius, n_reps):
     assert len(cells._start) == n_reps * n * (n + 2) + 1 and n * n <= len(pts) // n_reps
 
 
+@pytest.mark.parametrize("n_reps", [1, 3])
+def test_cell_list_falls_back_to_intp_keys(monkeypatch, n_reps):
+    # Keys and point numbers are int32 below 2**31 of each; at the limit
+    # they are intp, and every distance stays the same
+    rng = RNG(7)
+    pts = rng.uniform(-30, 30, (900, 2))
+    query = rng.uniform(-30, 30, (90, 2))
+    rep = None if n_reps == 1 else np.sort(rng.integers(0, n_reps, len(pts)))
+    query_rep = None if n_reps == 1 else rng.integers(0, n_reps, len(query))
+    narrow = _CellList(pts, 60.0, 4.0, rep, n_reps)
+    monkeypatch.setattr(sim_module, "_INT32_INDEX_LIMIT", 1)
+    wide = _CellList(pts, 60.0, 4.0, rep, n_reps)
+    assert narrow._order.dtype == np.int32 and wide._order.dtype == np.intp
+    assert np.array_equal(narrow._start, wide._start)
+    got = narrow.nearest_d2(query, query_rep)
+    assert np.array_equal(wide.nearest_d2(query, query_rep), got)
+    assert np.isfinite(got).any()
+
+
 @pytest.mark.parametrize("r_g, lambda_p, window, dedicated", [
     (3.0, 0.05, 30.0, None),        # 9 cells per side
     (3.0, 0.05, 30.0, (0.5, 0.0)),
@@ -260,9 +280,9 @@ def test_lockstep_matches_replications_stepped_alone(n_reps, r_g, lambda_p, wind
             sim.step()
             st = slice(batch.st_off[r], batch.st_off[r + 1])
             assert np.array_equal(batch.pt_xy[batch.pt_off[r]:batch.pt_off[r + 1]], sim.pt_xy)
-            assert np.array_equal(batch.battery[st], sim.battery)
-            assert np.array_equal(batch.st_transmit[st], sim.st_transmit)
-            assert np.array_equal(batch.st_harvest[st], sim.st_harvest)
+            assert np.array_equal(batch.battery[:, st], sim.battery)
+            assert np.array_equal(batch.st_transmit[:, st], sim.st_transmit)
+            assert np.array_equal(batch.st_harvest[:, st], sim.st_harvest)
             assert np.array_equal(transmitting_st_xy(batch, r), transmitting_st_xy(sim, 0))
             chargerless += len(sim.pt_xy) == 0
         transmits += batch.st_transmit.sum()
@@ -501,7 +521,7 @@ def one_charger_sim(p, st_x, battery=0.0):
     sim = SlotSimulator(replace_params(p, lambda_s=0.0), small_cfg(), [RNG(0)],
                         dedicated_pt=np.zeros(2))
     sim._place(np.array([[st_x, 0.0]]), [0, 1])
-    sim.battery[0] = battery
+    sim.battery[0, 0] = battery
     return sim
 
 
@@ -510,24 +530,24 @@ def test_edge_of_zone_charges_in_one_slot():
     p = make_params(lambda_p_total=0.0, power_s=0.1, power_p=1.0, r_h=1.0)
     sim = one_charger_sim(p, 1.0)
     sim.step()
-    assert sim.battery[0] == pytest.approx(p.power_s)
-    assert sim.st_harvest[0] and not sim.st_transmit[0]
+    assert sim.battery[0, 0] == pytest.approx(p.power_s)
+    assert sim.st_harvest[0, 0] and not sim.st_transmit[0, 0]
 
 
 def test_full_battery_inside_guard_zone_idles():
     p = make_params(lambda_p_total=0.0, power_s=0.1, power_p=1.0, r_h=1.0, r_g=3.0)
     sim = one_charger_sim(p, 2.0, battery=0.1)
     sim.step()
-    assert sim.battery[0] == pytest.approx(0.1)
-    assert not sim.st_transmit[0] and not sim.st_harvest[0]
+    assert sim.battery[0, 0] == pytest.approx(0.1)
+    assert not sim.st_transmit[0, 0] and not sim.st_harvest[0, 0]
 
 
 def test_full_battery_outside_guard_zones_transmits():
     p = make_params(lambda_p_total=0.0, power_s=0.1, power_p=1.0, r_h=1.0, r_g=3.0)
     sim = one_charger_sim(p, 10.0, battery=0.1)
     sim.step()
-    assert sim.st_transmit[0]
-    assert sim.battery[0] == 0.0
+    assert sim.st_transmit[0, 0]
+    assert sim.battery[0, 0] == 0.0
 
 
 def test_modes_partition_and_battery_capped():
@@ -569,6 +589,34 @@ def test_estimates_are_deterministic():
     p = make_params(lambda_s=0.1)
     cfg = small_cfg()
     assert estimate_p_t(p, cfg) == estimate_p_t(p, cfg)
+
+
+def test_table_rows_equal_their_own_runs_bit_for_bit():
+    # One dynamics run serves rows that differ in power, efficiency and path
+    # loss, each measuring after its own warm-up: the coupling bound at
+    # m_slots = 1, max(10 m, 100) slots at m_slots >= 2 (100 at m = 2, 110 at 11)
+    base = make_params(r_g=4.0, r_h=1.5, power_p=2.0, lambda_s=0.2)
+    rows = [replace_params(base, **kw) for kw in (
+        {"power_s": 0.01}, {"power_s": 0.03}, {"power_s": 0.06}, {"power_s": 0.42},
+        {"power_s": 0.1, "eta": 0.15}, {"power_s": 0.04, "alpha": 3.5, "power_p": 1.0})]
+    cfg = small_cfg(window_side=40.0, n_slots=10, warmup=None)
+    warmups = [cfg.resolved_warmup(p) for p in rows]
+    assert min(warmups) < 100 <= max(warmups) and len(set(warmups)) >= 3
+    fields = ("power_s", "eta", "alpha", "power_p")
+    got = estimate_p_t(_table(base, {f: [getattr(p, f) for p in rows] for f in fields}), cfg)
+    assert got.n_samples.dtype == np.int64
+    for k, p in enumerate(rows):
+        alone = estimate_p_t(p, cfg)
+        assert (np.array([got.mean[k], got.half_width[k]]).tobytes()
+                == np.array([alone.mean, alone.half_width]).tobytes())
+        assert got.n_samples[k] == alone.n_samples
+    assert len(set(got.mean.tolist())) >= 4
+
+
+def test_table_rows_must_share_the_geometry():
+    table = _table(make_params(), {"lambda_s": [0.1, 0.2]})
+    with pytest.raises(ValueError, match="must agree in lambda_s, lambda_p, r_g and r_h"):
+        estimate_p_t(table, small_cfg())
 
 
 def test_combine_is_order_invariant():
