@@ -304,6 +304,7 @@ class SlotSimulator:
         self.rngs = list(rngs)
         self.n_reps = len(self.rngs)
         self.window = config.resolved_window(params)
+        _check_area(self.window)  # before r_g is squared below
         # The first step redraws these chargers; dropping the draw would
         # shift every seeded stream.
         self.pt_xy, self.pt_off = self._draw(params.lambda_p)
@@ -385,7 +386,7 @@ class SlotSimulator:
 # A lockstep batch holds consecutive replications whose expected secondaries
 # times table rows total at most this many (one window-1000 replication at
 # lambda_s = 0.1), so a batch's state and per-slot temporaries stay within
-# those of one such replication; wider windows run one replication per batch.
+# those of one such replication; a table's rows run in chunks that fit.
 _BATCH_SECONDARIES = 2 ** 17
 
 # Most slots (warm-up plus measured) one replication may run.  The default
@@ -403,21 +404,23 @@ def _rep_rngs(config: SimConfig) -> list[np.random.Generator]:
 def _measured_slots(params: NetworkParams, config: SimConfig, measure, *,
                     dedicated_pt: np.ndarray | None = None) -> None:
     """The slot driver: steps the replications of ``config`` and calls
-    ``measure(sim, reps, live)`` after each measured slot; for a table
+    ``measure(sim, reps, rows, live)`` after each measured slot; for a table
     (:class:`SlotSimulator`) row k measures the ``n_slots`` after its own
-    warm-up, and the mask ``live`` picks the rows measuring.  An optional
-    ``dedicated_pt`` is an always-active charger in every replication.
+    warm-up.  An optional ``dedicated_pt`` is an always-active charger in
+    every replication.
 
-    The replications run in lockstep batches.  ``sim`` is the batch's
-    :class:`SlotSimulator`, fresh for each batch, and the slice ``reps``
-    picks its replications out of all of them, so ``sim`` replication r is
-    replication ``reps.start + r``.  Each batch runs until the last row's
-    measured slots end; ``measure`` reads a slot's state (and may draw from
-    ``sim.rngs``) before the next step.  Each replication draws from its own
-    stream in the order a lone replication would, and every state update is
-    elementwise, so batching changes no value.  A batch is released before
-    the next one is built, which a generator could not ensure: its caller
-    would hold the last batch while the next one runs.
+    The rows run in chunks, each from the streams' start, and the
+    replications in lockstep batches.  ``sim`` is the batch's
+    :class:`SlotSimulator`, fresh for each batch: its row k is row
+    ``rows.start + k``, its replication r is ``reps.start + r``, and the
+    mask ``live`` picks its rows measuring.  Each batch runs until its last
+    row's measured slots end; ``measure`` reads a slot's state (and may
+    draw from ``sim.rngs``) before the next step.  Each replication draws
+    from its own stream in the order a lone replication would, and every
+    state update is elementwise, so chunking and batching change no value.
+    A batch is released before the next one is built, which a generator
+    could not ensure: its caller would hold the last batch while the next
+    one runs.
     """
     rows = [params] if not _is_table(params) else [
         _scalar(_take(params, slice(k, k + 1))) for k in range(len(params.power_s))]
@@ -429,18 +432,22 @@ def _measured_slots(params: NetworkParams, config: SimConfig, measure, *,
                 f"{charging_geometry(row).m_slots}) plus {config.n_slots} measured slots, "
                 f"over the limit of {MAX_REPLICATION_SLOTS}")
     window = config.resolved_window(rows[0])
-    expected = rows[0].lambda_s * window * window * len(rows)  # inf, not OverflowError
-    size = max(1, int(_BATCH_SECONDARIES / max(expected, 1.0)))
-    rngs = _rep_rngs(config)
-    for first in range(0, len(rngs), size):
-        reps = slice(first, min(first + size, len(rngs)))
-        sim = SlotSimulator(params, config, rngs[reps], dedicated_pt=dedicated_pt)
-        for i in range(max(warmups) + config.n_slots):
-            sim.step()
-            live = np.array([w <= i < w + config.n_slots for w in warmups])
-            if live.any():
-                measure(sim, reps, live)
-        del sim
+    expected = rows[0].lambda_s * window * window  # inf, not OverflowError
+    chunk = max(1, int(_BATCH_SECONDARIES / max(expected, 1.0)))
+    for lo in range(0, len(rows), chunk):
+        part = slice(lo, min(lo + chunk, len(rows)))
+        table = params if len(rows) <= chunk else _take(params, part)
+        size = max(1, int(_BATCH_SECONDARIES / max(expected * len(rows[part]), 1.0)))
+        rngs = _rep_rngs(config)
+        for first in range(0, len(rngs), size):
+            reps = slice(first, min(first + size, len(rngs)))
+            sim = SlotSimulator(table, config, rngs[reps], dedicated_pt=dedicated_pt)
+            for i in range(max(warmups[part]) + config.n_slots):
+                sim.step()
+                live = np.array([w <= i < w + config.n_slots for w in warmups[part]])
+                if live.any():
+                    measure(sim, reps, part, live)
+            del sim
 
 
 def _combine(rep_means, rep_counts) -> SimEstimate:
@@ -461,17 +468,17 @@ def _combine(rep_means, rep_counts) -> SimEstimate:
 def estimate_p_t(params: NetworkParams, config: SimConfig) -> SimEstimate:
     """Long-run fraction of (transmitter, slot) pairs in transmitting mode.
 
-    For a table of one geometry (:class:`SlotSimulator`) one run serves all
-    rows, and each field is a column whose row k equals, bit for bit, the
-    estimate of row k alone at the same ``config``.
+    For a table of one geometry (:class:`SlotSimulator`) one run serves
+    each chunk of rows that fits the batch budget, and each field is a
+    column whose row k equals, bit for bit, row k's estimate alone.
     """
     hits = np.zeros((np.size(params.power_s), config.n_replications), dtype=np.int64)
     n_st = np.zeros(config.n_replications, dtype=np.int64)
 
-    def measure(sim, reps, live):
+    def measure(sim, reps, rows, live):
         tx = np.flatnonzero(sim.st_transmit[live])
         ends = np.arange(live.sum())[:, None] * sim.n_st + sim.st_off
-        hits[live, reps] += np.diff(np.searchsorted(tx, ends), axis=1)
+        hits[rows][live, reps] += np.diff(np.searchsorted(tx, ends), axis=1)
         n_st[reps] = np.diff(sim.st_off)
 
     _measured_slots(params, config, measure)
@@ -502,15 +509,14 @@ def _shot_noise(xy: np.ndarray, power: float, alpha: float,
     return _faded_sum(rng.exponential(size=len(xy)), power, _path_loss(xy, alpha))
 
 
-def _slot_losses(sim: SlotSimulator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """This slot's path losses to the origin of the batch's chargers and of
-    its transmitting secondaries, with the transmitters' replication offsets
-    (replication r's are ``tx_off[r]:tx_off[r + 1]``)."""
-    alpha = sim.params.alpha
+def _tx_losses(sim: SlotSimulator) -> tuple[np.ndarray, np.ndarray]:
+    """This slot's path losses to the origin of the batch's transmitting
+    secondaries, with their replication offsets (replication r's are
+    ``tx_off[r]:tx_off[r + 1]``)."""
     tx = np.flatnonzero(sim.st_transmit)
     # ``take`` gathers the rows of a 2-D array about ten times faster than ``[]``
-    return (_path_loss(sim.pt_xy, alpha), _path_loss(sim.st_xy.take(tx, axis=0), alpha),
-            np.searchsorted(tx, sim.st_off))
+    loss = _path_loss(sim.st_xy.take(tx, axis=0), sim.params.alpha)
+    return loss, np.searchsorted(tx, sim.st_off)
 
 
 def _cluster_rates(params: NetworkParams, p_t: float) -> tuple[float, float]:
@@ -579,8 +585,8 @@ def interference_samples(params: NetworkParams, config: SimConfig,
     if mode == "exact":
         samples = [[] for _ in range(config.n_replications)]
 
-        def measure(sim, reps, _live):
-            _, tx_loss, tx_off = _slot_losses(sim)
+        def measure(sim, reps, _rows, _live):
+            tx_loss, tx_off = _tx_losses(sim)
             for r, rng in enumerate(sim.rngs):
                 a, b = tx_off[r], tx_off[r + 1]
                 samples[reps.start + r].append(
@@ -614,8 +620,10 @@ def _sinr_samples(params: NetworkParams, config: SimConfig, side: str) -> list[n
     rg2 = p.r_g ** 2
     samples = [[] for _ in range(config.n_replications)]
 
-    def measure(sim, reps, _live):
-        pt_loss, tx_loss, tx_off = _slot_losses(sim)
+    def measure(sim, reps, _rows, _live):
+        tx_loss, tx_off = _tx_losses(sim)
+        # Chargers on a dedicated band reach no wit receiver
+        pt_loss = np.empty(0) if side == "wit" else _path_loss(sim.pt_xy, p.alpha)
         if reject:
             close = _min_image_d2(sim.pt_xy - (p.d_s, 0.0), sim.window) <= rg2
         for r, rng in enumerate(sim.rngs):

@@ -11,7 +11,7 @@ from rfharvest import (build_chain, charging_geometry, outage_primary,
                        phi, pt_double_slot, pt_multi_bounds, pt_single_slot,
                        spatial_throughput, tau_primary, tau_secondary, tau_wit,
                        transmission_probability, wit_outage, zone_probabilities)
-from rfharvest.analytics import _hole_integral, _lens_area
+from rfharvest.analytics import _gauss_jacobi, _hole_integral, _lens_area
 from rfharvest.params import _table
 
 from conftest import make_params, replace_params, valid_params
@@ -280,6 +280,21 @@ def test_guard_zones_covering_plane_rejected():
 
 
 # -- guard-hole conditional secondary outage -----------------------------------
+
+
+RULE_ALPHAS = (2.3, 3.0, 4.0, 5.5, 8.0)
+
+
+@pytest.mark.parametrize("a,n", [(2.0 / alpha - 1.0, 6) for alpha in RULE_ALPHAS]
+                         + [(-2.0 / alpha, 6) for alpha in RULE_ALPHAS]
+                         + [(0.0, n) for n in (4, 7, 64, 128)])
+def test_gauss_jacobi_rule_is_exact_to_degree_2n_minus_1(a, n):
+    # The guard hole's rules: D's head and tail weights at n = 6, and the
+    # Gauss-Legendre orders of the annulus up to the 128-node cap
+    x, w = np.array(_gauss_jacobi(a, n)).T
+    assert len(x) == n and ((0.0 < x) & (x < 1.0)).all() and (w > 0.0).all()
+    for k in range(2 * n):
+        assert math.fsum(w * x ** k) == pytest.approx(1.0 / (a + k + 1.0), rel=1e-13, abs=0)
 
 
 _DENSE_X, _DENSE_W = np.polynomial.legendre.leggauss(200)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 
 from rfharvest import (SimConfig, estimate_p_t, load_params, params_to_dict,
                        transmission_probability)
+from rfharvest import cli as cli_module
 from rfharvest import sim as sim_module
 from rfharvest.cli import (_CHUNK_ROWS, SIM_TARGETS, _fmt, _n_workers, _point_seed, _write_csv,
                            main, parse_sweep)
@@ -244,6 +246,37 @@ def test_simulate_deterministic_across_runs_and_workers(config_path, tmp_path,
         assert rc == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_p_t_groups_on_the_pool_unchanged_by_worker_count(config_path, tmp_path,
+                                                          monkeypatch):
+    # Two charger densities are two p_t groups: two jobs, which 2 or 3
+    # workers run on a pool of 2, with the serial run's bytes
+    jobs, pools = [], []
+    pooled_map = cli_module._pooled_map
+
+    def spy(fn, work):
+        jobs.append(len(work))
+        return pooled_map(fn, work)
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(cli_module, "_pooled_map", spy)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    outs = []
+    for i, workers in enumerate(("1", "2", "3")):
+        monkeypatch.setenv("RFH_THREADS", workers)
+        out = tmp_path / f"s{i}.csv"
+        assert main(["simulate", "--config", config_path, "--out", str(out),
+                     "--sweep", "lambda_p_total=0.005:0.02:2"] + SIM_ARGS) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] == outs[2]
+    assert jobs == [2, 2, 2] and pools == [2, 2]
+    _, _, rows = read_csv(tmp_path / "s0.csv")
+    assert len(rows) == 6 and rows[0][2:] != rows[-1][2:]
 
 
 def test_power_sweep_runs_one_dynamics_per_charger_density(config_path, tmp_path,

@@ -613,6 +613,43 @@ def test_table_rows_equal_their_own_runs_bit_for_bit():
     assert len(set(got.mean.tolist())) >= 4
 
 
+def test_table_rows_run_in_chunks_within_the_batch_budget(monkeypatch):
+    # When one replication of all rows exceeds the budget, the rows run in
+    # chunks that fit it, each chunk at the same seed, so no row's bits move
+    base = make_params(r_g=4.0, r_h=1.5, power_p=2.0, lambda_s=0.2)
+    table = _table(base, {"power_s": [0.01, 0.03, 0.06, 0.1, 0.42]})
+    cfg = small_cfg(window_side=40.0, n_slots=10, warmup=None)
+    held = []
+
+    class Recorded(SlotSimulator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            held.append(len(self.battery))
+
+    monkeypatch.setattr(sim_module, "SlotSimulator", Recorded)
+    whole = estimate_p_t(table, cfg)
+    assert held == [5]
+    held.clear()
+    # 0.2 * 40**2 = 320 expected secondaries a replication: chunks of 2 rows
+    monkeypatch.setattr(sim_module, "_BATCH_SECONDARIES", 2 * 320)
+    chunked = estimate_p_t(table, cfg)
+    assert max(held) == 2 and sorted(set(held)) == [1, 2]
+    for field in ("mean", "half_width", "n_samples"):
+        assert getattr(chunked, field).tobytes() == getattr(whole, field).tobytes()
+
+
+def test_simulator_refuses_an_oversized_window_before_any_draw(monkeypatch):
+    # The default window, 20 r_g = 2e301, is refused before r_g is squared
+    # and before the first charger draw
+    def no_draw(self, density):
+        raise AssertionError("drew points")
+
+    monkeypatch.setattr(SlotSimulator, "_draw", no_draw)
+    cfg = SimConfig(n_replications=1)
+    with pytest.raises(ValueError, match="window side 2e\\+301 has an area too large"):
+        SlotSimulator(make_params(r_g=1e300), cfg, _rep_rngs(cfg))
+
+
 def test_table_rows_must_share_the_geometry():
     table = _table(make_params(), {"lambda_s": [0.1, 0.2]})
     with pytest.raises(ValueError, match="must agree in lambda_s, lambda_p, r_g and r_h"):
