@@ -195,20 +195,6 @@ def _take(table, rows):
     return replace(table, **{f.name: getattr(table, f.name)[rows] for f in fields(table)})
 
 
-def _dense(key):
-    """(first, inverse) of an integer column: ``first`` holds one row of each
-    distinct value, in increasing order of value, and row i holds the value
-    of row ``first[inverse[i]]``."""
-    order = np.argsort(key)
-    s = key[order]
-    new = np.empty(len(s), bool)
-    new[:1] = True
-    np.not_equal(s[1:], s[:-1], out=new[1:])
-    inverse = np.empty(len(s), np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return order[new], inverse
-
-
 def _bits(c):
     """A float64 column as its int64 bit patterns; an integer column as it is."""
     return c.view(np.int64) if c.dtype == np.float64 else c
@@ -231,8 +217,9 @@ def _distinct(cols):
     Floats are compared by their int64 bit patterns, never by float
     equality, so ``-0.0`` and ``0.0`` are different rows and so are NaNs
     with different payloads.  Only the first row of each run of equal rows
-    is sorted; each column is reduced to codes on its own, a column of one
-    bit pattern costing no sort, and the codes of the columns are combined.
+    is sorted; ``np.unique`` reduces each column to codes on its own, a
+    column of one bit pattern costing no sort, and then the combined codes
+    of the columns so far.
     """
     n = len(cols[0])
     if n < 256:
@@ -247,14 +234,13 @@ def _distinct(cols):
     for k in keys:
         if _uniform(k):
             continue
-        s = np.sort(k)  # far cheaper than the argsort of _dense
-        if np.count_nonzero(s[1:] != s[:-1]) >= n // 2:
+        s = np.sort(k)  # far cheaper than np.unique's argsort
+        distinct = np.count_nonzero(s[1:] != s[:-1]) + 1
+        if distinct > n // 2:
             return None
-        first_k, inverse_k = _dense(k)
-        if len(first) == 1:
-            first, inverse = first_k, inverse_k
-        else:
-            first, inverse = _dense(inverse * len(first_k) + inverse_k)
+        if len(first) > 1:
+            k = inverse * distinct + np.unique(k, return_inverse=True)[1]
+        first, inverse = np.unique(k, return_index=True, return_inverse=True)[1:]
     if len(heads) < n:
         return heads[first], np.repeat(inverse, np.diff(heads, append=n))
     return first, inverse

@@ -217,7 +217,7 @@ class _CellList:
                                column[wrap_hi] * m + n + 1])
         # Deduplicated, so that under three cells per side no block holds a
         # point twice (rows may be, which leaves every minimum unchanged).
-        # A Python set, not np.unique: numpy's set routines import numpy.ma,
+        # A Python set, not np.unique: asked for no indices, it imports numpy.ma,
         # 12-15 ms that every simulating process, pool workers too, would pay.
         offsets = sorted({-1 % n, 0, 1 % n})
         c = np.arange(n)[:, None]

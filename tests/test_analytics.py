@@ -1,10 +1,12 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from rfharvest import (build_chain, charging_geometry, outage_primary,
                        outage_secondary, outage_secondary_paper, p_guard, p_harvest,
@@ -331,6 +333,42 @@ def test_guard_hole_matches_dense_reference(alpha, r_g, d_s, theta):
     assert abs(out.tau - tau_ref) <= 1e-4
     assert abs(out.probability + math.expm1(-tau_ref)) <= 1e-4
     assert not out.clamped
+
+
+def _quad_hole(d, r_g, alpha, c):
+    """Reference H by adaptive quadrature in polar coordinates about the
+    receiver: the disk r < r_g - d, then the annulus in u, r = m - h cos u,
+    which removes the arc's square-root end points (integrated in r, they
+    cost the reference about 1e-9 next to the disk's edge)."""
+    def kernel(r):
+        return r / (1.0 + r ** alpha / c)
+    m, h, k0 = max(d, r_g), min(d, r_g), d * d - r_g * r_g
+
+    def annulus(u):
+        r = m - h * math.cos(u)
+        arc = 2.0 * math.acos(min(1.0, max(-1.0, (r + k0 / r) / (2.0 * d))))
+        return kernel(r) * arc * h * math.sin(u)
+    quad = functools.partial(integrate.quad, epsabs=0.0, epsrel=1e-13, limit=100)
+    inner = 2.0 * math.pi * quad(kernel, 0.0, r_g - d)[0] if d < r_g else 0.0
+    return inner + quad(annulus, 0.0, math.pi)[0]
+
+
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+def test_guard_hole_meets_its_relative_target():
+    # Random rows: the receiver next to the disk's edge (within 1e-3), near
+    # the disk (d < 1.5 r_g) or far from it (up to 12 r_g), over a wide
+    # range of exponents and thresholds c = s P_p.
+    rng = np.random.default_rng(2024)
+    n = 600
+    r_g = rng.uniform(0.3, 6.0, n)
+    d = np.choose(rng.integers(3, size=n), [r_g + rng.uniform(-1e-3, 1e-3, n),
+                                            rng.uniform(0.0, 1.5, n) * r_g,
+                                            rng.uniform(0.0, 12.0, n) * r_g])
+    alpha = rng.uniform(2.1, 8.0, n)
+    c = np.exp(rng.uniform(-6.0, 6.0, n))
+    for row in zip(d.tolist(), r_g.tolist(), alpha.tolist(), c.tolist()):
+        h_ref = _quad_hole(*row)
+        assert abs(_hole_integral(*row) - h_ref) <= 1e-8 * h_ref, row
 
 
 @pytest.mark.parametrize("alpha", [3.0, 4.0, 5.5])

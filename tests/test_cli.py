@@ -737,21 +737,9 @@ def test_design_point_script_runs(tmp_path, r_g):
     assert any(line.startswith("transmit probability") for line in lines)
 
 
-def test_simulator_never_imports_numpy_ma(config_path, tmp_path):
-    # numpy's set routines (np.unique and friends) import numpy.ma, which
-    # costs every simulating process, pool workers included, 12-15 ms: run
-    # each simulator path in a fresh interpreter and check it stayed out
-    fig, cfg = str(tmp_path / "fig"), config_path
-    tiny = ["--replications", "2", "--slots", "5", "--window", "40", "--seed", "3"]
-    commands = [
-        ["simulate", "--config", cfg, "--out", str(tmp_path / "pt.csv"), "--target", "p_t",
-         "--warmup", "5"] + tiny,
-        ["simulate", "--config", cfg, "--out", str(tmp_path / "os.csv"),
-         "--target", "outage-secondary", "--warmup", "5"] + tiny,
-        ["simulate", "--config", cfg, "--out", str(tmp_path / "i.csv"),
-         "--target", "interference-cluster"] + tiny,
-        ["figure", "--id", "9", "--out-dir", fig] + tiny,
-    ]
+def _numpy_ma_modules(commands):
+    """The numpy.ma modules loaded after running the CLI commands in a fresh
+    interpreter."""
     code = ("import json, sys\n"
             "from rfharvest.cli import main\n"
             f"for argv in json.loads({json.dumps(json.dumps(commands))}):\n"
@@ -763,7 +751,39 @@ def test_simulator_never_imports_numpy_ma(config_path, tmp_path):
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "[]"
+    return run.stdout.splitlines()[-1]
+
+
+def test_simulator_never_imports_numpy_ma(config_path, tmp_path):
+    # numpy.ma costs every simulating process, pool workers included,
+    # 12-15 ms, and a bare np.unique(a) imports it (as do the set routines
+    # built on it): run each simulator path in a fresh interpreter and
+    # check it stayed out
+    fig, cfg = str(tmp_path / "fig"), config_path
+    tiny = ["--replications", "2", "--slots", "5", "--window", "40", "--seed", "3"]
+    assert _numpy_ma_modules([
+        ["simulate", "--config", cfg, "--out", str(tmp_path / "pt.csv"), "--target", "p_t",
+         "--warmup", "5"] + tiny,
+        ["simulate", "--config", cfg, "--out", str(tmp_path / "os.csv"),
+         "--target", "outage-secondary", "--warmup", "5"] + tiny,
+        ["simulate", "--config", cfg, "--out", str(tmp_path / "i.csv"),
+         "--target", "interference-cluster"] + tiny,
+        ["figure", "--id", "9", "--out-dir", fig] + tiny,
+    ]) == "[]"
+
+
+def test_design_sweeps_never_import_numpy_ma(config_path, tmp_path):
+    # sweeps of 256 rows or more reach params._distinct, in the closed
+    # forms and in the CSV writer, and numpy.ma must stay out of them too
+    noisy = tmp_path / "noisy.json"
+    noisy.write_text(json.dumps(dict(json.loads(pathlib.Path(config_path).read_text()),
+                                     noise=0.01)))
+    assert _numpy_ma_modules([
+        ["analyze", "--config", config_path, "--out", str(tmp_path / "a.csv"),
+         "--sweep", "power_s=0.01:0.9:20", "--sweep", "lambda_p_total=0.001:0.05:20"],
+        ["optimize", "--config", str(noisy), "--out", str(tmp_path / "o.csv"),
+         "--sweep", "lambda_p_total=0.001:0.05:20", "--sweep", "eps_p=0.02:0.4:15"],
+    ]) == "[]"
 
 
 def test_traced_benchmark_session_runs(tmp_path):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from rfharvest import (NetworkParams, ParameterError, RegimeWarning,
                        charging_geometry, load_params, params_from_dict,
                        params_to_dict, validate)
-from rfharvest.params import _each
+from rfharvest.params import _distinct, _each
 
 from conftest import make_params, valid_params
 
@@ -283,6 +283,57 @@ def test_each_calls_once_per_distinct_row():
         _assert_same(_each(fn, *args), _per_row(_revealing, *args))
         cols = [a.tolist() for a in args if isinstance(a, np.ndarray)]
         assert fn.calls == len({tuple(map(_bits, row)) for row in zip(*cols)}) == calls
+
+
+@st.composite
+def _tables(draw):
+    """Float64 (now and then int64) columns of 256-700 rows: uniform, drawn
+    from a few values or spread over many, with runs of equal rows, and
+    values from POOL (both zeros, NaN payloads, infinities) among them."""
+    n = draw(st.integers(256, 700))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # runs of equal rows: every column repeats a base row index
+    rows = np.repeat(np.arange(n), rng.integers(1, draw(st.sampled_from([1, 2, 6])) + 1, n))[:n]
+    cols = []
+    for _ in range(draw(st.integers(1, 3))):
+        pool = np.array(draw(st.lists(st.sampled_from(POOL) | st.floats(), min_size=1,
+                                      max_size=8)))
+        kind = draw(st.sampled_from(["uniform", "few", "spread", "int"]))
+        if kind == "uniform":
+            base = np.repeat(pool[:1], n)
+        elif kind == "few":
+            base = pool[rng.integers(len(pool), size=n)]
+        elif kind == "spread":
+            base = np.where(rng.random(n) < draw(st.floats(0.0, 1.0)), rng.normal(size=n),
+                            pool[rng.integers(len(pool), size=n)])
+        else:
+            base = rng.integers(-draw(st.integers(0, n)), 3, n)
+        cols.append(base[rows])
+    return cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables())
+def test_distinct_codes_every_bit_pattern_row_once(cols):
+    n = len(cols[0])
+    keys = np.stack([c.view(np.int64) if c.dtype == np.float64 else c for c in cols], axis=1)
+    distinct_rows = {tuple(row) for row in keys.tolist()}
+    codes = _distinct(cols)
+    # the documented bail-out: a column with more distinct values than half its rows
+    assert (codes is None) == any(len(set(k.tolist())) > n / 2 for k in keys.T)
+    assert _distinct([c[:255] for c in cols]) is None  # the 256-row floor
+    if codes is not None:
+        first, inverse = codes
+        assert (keys[first][inverse] == keys).all()
+        assert len(first) == len(distinct_rows)
+        assert {tuple(row) for row in keys[first].tolist()} == distinct_rows
+
+
+@pytest.mark.parametrize("n", [256, 257, 700])
+def test_distinct_declines_just_past_half_distinct_values(n):
+    for k, declines in [(n // 2, False), (n // 2 + 1, True)]:
+        spread = np.resize(np.arange(float(k)), n)
+        assert (_distinct([np.zeros(n), spread]) is None) is declines
 
 
 def test_each_maps_short_and_seldom_repeating_columns_row_by_row():
