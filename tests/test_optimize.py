@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from rfharvest import (InfeasibleError, NetworkParams, mu_primary, mu_secondary, p_guard, phi,
-                       solve, solve_p1_closed_form, solve_p1_numeric, solve_p2,
-                       spatial_throughput, tau_primary, tau_secondary, tau_wit,
-                       transmission_probability, wit_outage)
+from rfharvest import (InfeasibleError, NetworkParams, constraint_curves, mu_primary,
+                       mu_secondary, optimize, p_guard, phi, solve, solve_p1_closed_form,
+                       solve_p1_numeric, solve_p2, spatial_throughput, tau_primary,
+                       tau_secondary, tau_wit, transmission_probability, wit_outage)
+from rfharvest.params import _table
 
 from conftest import make_params
 
@@ -123,7 +124,7 @@ def _random_feasible_draws(n, seed=2024):
             res = solve_p1_closed_form(p)
         except InfeasibleError:
             continue
-        if res.p_s_star <= 0.95 * p.power_p:  # stay inside the bisection bracket
+        if res.p_s_star <= 0.95 * p.power_p:  # stay inside the solver's bracket
             draws.append((p, res))
     return draws
 
@@ -134,6 +135,85 @@ def test_numeric_matches_closed_form_on_random_draws():
         assert num.p_s_star == pytest.approx(closed.p_s_star, rel=1e-9)
         assert num.active_density == pytest.approx(closed.active_density, rel=1e-9)
         assert num.throughput == pytest.approx(closed.throughput, rel=1e-9)
+
+
+def test_numeric_starts_at_the_closed_form_at_zero_noise():
+    for p, closed in _random_feasible_draws(100):
+        num = solve_p1_numeric(p)
+        assert num.p_s_star == pytest.approx(closed.p_s_star, rel=1e-13, abs=0.0)
+        assert num.active_density == pytest.approx(closed.active_density, rel=1e-13, abs=0.0)
+        assert num.throughput == pytest.approx(closed.throughput, rel=1e-13, abs=0.0)
+
+
+def _stack(rows):
+    """A table of the parameter sets ``rows``, one row each."""
+    return NetworkParams(**{f.name: np.array([getattr(p, f.name) for p in rows])
+                            for f in dataclasses.fields(NetworkParams)})
+
+
+@pytest.fixture(scope="module")
+def noisy_rows():
+    """300 random parameter sets with receiver noise, log-uniform over 1e-6
+    to 1, that have a numeric optimum."""
+    n, rng = 300, np.random.default_rng(11)
+    rows = [dataclasses.replace(p, noise=float(10.0 ** rng.uniform(-6.0, 0.0)))
+            for p, _ in _random_feasible_draws(2 * n + 100)]
+    feasible = np.isfinite(solve_p1_numeric(_stack(rows)).p_s_star)
+    assert feasible.sum() >= n
+    return [p for p, ok in zip(rows, feasible) if ok][:n]
+
+
+def test_noisy_optimum_is_the_float_root(noisy_rows):
+    # Reference: bisect f1 - f2 as constraint_curves computes it until the
+    # bracket is two neighbouring floats.  The solver's root must lie within
+    # a few ulps of it, well inside 1e-14 relative, and each table row is
+    # its one-row solve.
+    for p, got in zip(noisy_rows, solve_p1_numeric(_stack(noisy_rows)).p_s_star):
+        assert _bits(got) == _bits(solve_p1_numeric(p).p_s_star)
+        f1, f2 = constraint_curves(p)
+        lo, hi = 1e-9 * p.power_p, p.power_p
+        while np.nextafter(lo, math.inf) < hi:
+            mid = 0.5 * (lo + hi)
+            if f1(mid) - f2(mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        assert got == pytest.approx(hi, rel=1e-14, abs=0.0), p
+
+
+def _newton_steps(monkeypatch, table):
+    """solve_p1_numeric of a table, and how many steps each row took: the
+    curve evaluations of its row, outside the bracket ends and the final
+    density, which evaluate every row at once."""
+    steps = np.zeros(len(table.noise), dtype=int)
+    curves_of = optimize._curves
+
+    def spied(*args):
+        curves, coefficients = curves_of(*args)
+
+        def counted(power_s, rows=slice(None)):
+            if not isinstance(rows, slice):
+                np.add.at(steps, rows, 1)
+            return curves(power_s, rows)
+
+        return counted, coefficients
+
+    monkeypatch.setattr(optimize, "_curves", spied)
+    return solve_p1_numeric(table), steps
+
+
+def test_newton_converges_within_ten_steps(monkeypatch, noisy_rows):
+    # A 200 x 100 grid over the span of the benchmark's noisy design sweeps
+    # (perfbench/optimize_noise.json), and the random noisy rows above.
+    lam, eps = np.meshgrid(np.linspace(0.001, 0.07, 200), np.linspace(0.02, 0.5, 100),
+                           indexing="ij")
+    grid = _table(make_params(power_p=2.0, noise=0.01),
+                  {"lambda_p_total": lam.ravel(), "eps_p": eps.ravel()})
+    for table in (grid, _stack(noisy_rows)):
+        res, steps = _newton_steps(monkeypatch, table)
+        feasible = np.isfinite(res.p_s_star)
+        assert feasible.sum() >= 300
+        assert steps[feasible].min() >= 1 and steps.max() <= 10
 
 
 def test_numeric_continuous_in_noise():
@@ -297,18 +377,16 @@ def test_mixed_solver_table_matches_each_row_solved_alone():
     # The CLI refuses r_g = 0 with noise, so no sweep builds this table.
     rows = [make_params(r_g=0.0),                                   # P2
             make_params(r_g=3.0, power_p=2.0),                      # P1, closed form
-            make_params(noise=1e-3),                                # P1, bisection
+            make_params(noise=1e-3),                                # P1, Newton
             make_params(eps_p=1e-9),                                # closed form infeasible
-            make_params(eps_p=1e-9, noise=1e-3),                    # bisection infeasible
+            make_params(eps_p=1e-9, noise=1e-3),                    # Newton infeasible
             make_params(power_p=2.0, eps_p=0.9, eps_s=0.01, lambda_p_total=0.02,
                         noise=1e-6),                                # no intersection
             make_params(lambda_p_total=30.0),                       # p_g = 0
             worked_params(eta=0.01),                                # m > 2: an interval
             make_params(r_g=0.0, eps_s=0.1, lambda_s=0.5),          # P2 again
-            make_params(noise=1e-2, power_s=0.3)]                   # bisection again
-    table = NetworkParams(**{f.name: np.array([getattr(p, f.name) for p in rows])
-                             for f in dataclasses.fields(NetworkParams)})
-    res = solve(table)
+            make_params(noise=1e-2, power_s=0.3)]                   # Newton again
+    res = solve(_stack(rows))
     kinds = set()
     for i, p in enumerate(rows):
         got = {f.name: getattr(res, f.name) for f in dataclasses.fields(res)}
