@@ -1,6 +1,16 @@
 """Analytics and slotted Monte Carlo simulation for RF-energy-harvesting
 transmitters that opportunistically share spectrum under guard zones."""
 
+import os
+
+# One BLAS thread, set before any import loads numpy: the only parallelism
+# is the process pool (RFH_THREADS), and the largest linear-algebra call is
+# an eigen-solve of order <= 128.  Otherwise numpy's OpenBLAS worker spins
+# about 0.08 s of CPU around import, and an eigh of order >= 32 wakes it for
+# about 0.13 s more, with no gain in wall time.  A value the user set wins;
+# pool workers fork with the single-thread library.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .params import (NetworkParams, ChargingGeometry, ParameterError, RegimeWarning,
                      validate, charging_geometry, params_from_dict, params_to_dict,
                      load_params)

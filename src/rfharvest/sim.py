@@ -391,9 +391,12 @@ _BATCH_SECONDARIES = 2 ** 17
 
 # Most slots (warm-up plus measured) one replication may run.  The default
 # warm-up grows with m_slots, which can exceed 1e25 at large transmit
-# powers, and at m_slots = 1 without bound as rho nears 1; such a run would
-# never end, so it is refused.
-MAX_REPLICATION_SLOTS = 2 ** 31
+# powers, and at m_slots = 1 without bound as rho nears 1.  A slot costs
+# 50-80 us even at a window of 30, so 2**22 slots is a budget of several
+# minutes per replication: m_slots = 5e6 (power_s = 1e6 in
+# configs/example.json, a 5e7-slot warm-up, about 30 h) is refused at once,
+# while the longest default warm-up the tests reach is 44,534 slots.
+MAX_REPLICATION_SLOTS = 2 ** 22
 
 
 def _rep_rngs(config: SimConfig) -> list[np.random.Generator]:

@@ -551,7 +551,25 @@ def test_simulate_refuses_runaway_warmup(tmp_path, capsys, target):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("rfharvest: error: a replication would run ")
-    assert "warm-up slots (m_slots = " in err and "over the limit of 2147483648" in err
+    assert "warm-up slots (m_slots = " in err and "over the limit of 4194304" in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::rfharvest.RegimeWarning")  # power_s 1e6 >> power_p
+def test_simulate_refuses_huge_m_slots_before_stepping(tmp_path, capsys, monkeypatch):
+    # power_s = 1e6 gives m_slots = 5e6 and a default warm-up of 5e7 slots,
+    # about 30 h of steps at window 30: refused before any simulator exists
+    def built(*args, **kwargs):
+        raise AssertionError("a SlotSimulator was built")
+
+    monkeypatch.setattr(sim_module, "SlotSimulator", built)
+    out = tmp_path / "x.csv"
+    rc = main(["simulate", "--config", _example_with(tmp_path, power_s=1e6), "--out", str(out),
+               "--target", "p_t", "--window", "30", "--replications", "2", "--slots", "5"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "rfharvest: error: a replication would run 50000000 warm-up slots (m_slots = "
+        f"5000000) plus 5 measured slots, over the limit of {2 ** 22}\n")
     assert not out.exists()
 
 
@@ -784,6 +802,30 @@ def test_design_sweeps_never_import_numpy_ma(config_path, tmp_path):
         ["optimize", "--config", str(noisy), "--out", str(tmp_path / "o.csv"),
          "--sweep", "lambda_p_total=0.001:0.05:20", "--sweep", "eps_p=0.02:0.4:15"],
     ]) == "[]"
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")], ids=["unset", "preset"])
+def test_one_blas_thread_unless_the_user_sets_it(preset, expected):
+    # numpy's OpenBLAS worker spins CPU after import and after an eigh of
+    # order >= 32; importing the package first keeps BLAS on one thread,
+    # and a value the user set wins
+    code = ("import os\n"
+            "from rfharvest import analytics\n"
+            "analytics._gauss_jacobi(0.0, 64)\n"
+            "tasks = os.listdir('/proc/self/task') if os.path.isdir('/proc/self/task') else []\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'], len(tasks))\n")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    value, threads = run.stdout.split()
+    assert value == expected
+    if preset is None and threads != "0":  # 0: no /proc to count threads in
+        assert threads == "1"
 
 
 def test_traced_benchmark_session_runs(tmp_path):

@@ -59,3 +59,19 @@ def test_csv_is_written_only_by_the_sweep_and_study_writers():
     # One CSV path: every analyze, simulate and optimize target goes through
     # cli._write_sweep, and the canned studies through cli.cmd_figure.
     assert _callers("_write_csv") == ["cli._write_sweep", "cli.cmd_figure"]
+
+
+def test_blas_thread_policy_precedes_every_import():
+    # OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it, so the
+    # package's default must be set before any import that could load numpy;
+    # an import re-sort that moved it down would silently undo it.
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    policy = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "setdefault"
+              and ast.unparse(node.func.value) == "os.environ"
+              and [ast.literal_eval(arg) for arg in node.args] == ["OPENBLAS_NUM_THREADS", "1"]]
+    imports = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               and not (isinstance(node, ast.Import) and [a.name for a in node.names] == ["os"])]
+    assert len(policy) == 1 and imports
+    assert policy[0] < min(imports), f"imports at lines {sorted(imports)} precede the policy"
