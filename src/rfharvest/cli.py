@@ -23,8 +23,8 @@ from .analytics import (outage_primary, outage_secondary, transmission_probabili
 from .optimize import solve
 from .params import (NetworkParams, _distinct, _scalar, _table, _take, charging_geometry,
                      load_params, params_to_dict, validate)
-from .sim import (ConditioningTooRareError, SimConfig, _geometry, estimate_outage,
-                  estimate_p_t, interference_samples, outage_curve)
+from .sim import (ConditioningTooRareError, SimConfig, _geometry, _outage_run, estimate_p_t,
+                  interference_samples, outage_curve)
 
 __all__ = ["main", "SweepSpec", "parse_sweep"]
 
@@ -272,28 +272,26 @@ def cmd_analyze(args) -> int:
 # -- simulate ------------------------------------------------------------------
 
 
-def _est_columns(ests) -> dict:
-    return {"estimate": np.array([e.mean for e in ests], dtype=np.float64),
-            "half_width": np.array([e.half_width for e in ests], dtype=np.float64),
-            "n_samples": np.array([e.n_samples for e in ests], dtype=np.int64)}
-
-
 def _simulate_group(job) -> dict:
-    """The estimate columns of a p_t group, in one run, or of one outage row."""
+    """The estimate columns of a group of rows, from one run: p_t's one
+    estimate of columns, or an outage curve over the group's thresholds."""
     table, config, target = job
-    if target == "p_t":
-        est = estimate_p_t(table, config)
-        return {"estimate": est.mean, "half_width": est.half_width, "n_samples": est.n_samples}
-    return _est_columns([estimate_outage(_scalar(table), config, target.removeprefix("outage-"))])
+    side = target.removeprefix("outage-")
+    ests = [estimate_p_t(table, config)] if target == "p_t" else outage_curve(
+        _scalar(_take(table, slice(0, 1))), config, side,
+        table.theta_p if side == "primary" else table.theta_s)
+    return {"estimate": np.hstack([e.mean for e in ests]),
+            "half_width": np.hstack([e.half_width for e in ests]),
+            "n_samples": np.hstack([e.n_samples for e in ests])}
 
 
 def _simulated(table: NetworkParams, config: SimConfig, target: str, seed: int,
                first: int = 0) -> dict:
     """``target``'s estimate at each row of ``table``, by groups of rows on the
     process pool, each seeded by point ``first + i`` of ``seed`` at its first
-    row i.  A p_t group shares a ``sim._geometry``; an outage row is alone."""
+    row i: the rows that share a ``sim._geometry`` (p_t) or a ``sim._outage_run``."""
     groups = {}
-    for i, key in enumerate(_geometry(table) if target == "p_t" else range(len(table.power_s))):
+    for i, key in enumerate((_geometry if target == "p_t" else _outage_run)(table)):
         groups.setdefault(key, []).append(i)
     rows = list(groups.values())
     parts = _pooled_map(_simulate_group, [
@@ -426,11 +424,11 @@ def _figure_8(args) -> list:
              _cdf(base, cfg))]
 
 
-def _outage_study(args, figure, base, cfg, column, grid, fields, simulate) -> list:
+def _outage_study(args, figure, base, cfg, column, grid, fields) -> list:
     """Figures 9 and 10: primary and secondary outage against ``column`` over
     ``grid``, whose values set every parameter in ``fields``.  The analytic
-    curves are ``analyze``'s; ``simulate(table, side, k)`` returns the k-th
-    side's estimates, one row per grid value, simulated as ``cfg`` sets."""
+    curves are ``analyze``'s, and the simulated ones ``simulate``'s, as
+    ``cfg`` sets, the k-th side's seeded from point ``k * len(grid)``."""
     hdr = _sim_headers(args, f"figure {figure}", base, cfg)
     table = _table(base, dict.fromkeys(fields, grid))
     cols = _analyze_columns(table)
@@ -439,32 +437,23 @@ def _outage_study(args, figure, base, cfg, column, grid, fields, simulate) -> li
          {column: grid, "outage": cols["outage_p"]}),
         (f"fig{figure}_outage_secondary_analytic.csv", hdr,
          {column: grid, "outage": cols["outage_s"], "clamped": cols["outage_s_clamped"]}),
-    ] + [(f"fig{figure}_outage_{side}_sim.csv", hdr, {column: grid, **simulate(table, side, k)})
+    ] + [(f"fig{figure}_outage_{side}_sim.csv", hdr, {column: grid, **_simulated(
+        table, cfg, f"outage-{side}", args.seed, first=k * len(grid))})
          for k, side in enumerate(("primary", "secondary"))]
 
 
 def _figure_9(args) -> list:
-    # One outage_curve per side, without the pool: a dynamics run serves all
-    # 13 thresholds.
     base = _study_params(r_g=3.0, r_h=1.0, power_p=1.0, power_s=0.1, lambda_s=0.1)
-    thetas = np.geomspace(1.0, 1000.0, 13)
     cfg = _sim_cfg(args, replications=8, slots=150)
-
-    def simulate(table, side, k):
-        return _est_columns(outage_curve(
-            base, replace(cfg, master_seed=_point_seed(args.seed, k)), side, thetas))
-    return _outage_study(args, 9, base, cfg, "theta", thetas, ("theta_p", "theta_s"),
-                         simulate)
+    return _outage_study(args, 9, base, cfg, "theta", np.geomspace(1.0, 1000.0, 13),
+                         ("theta_p", "theta_s"))
 
 
 def _figure_10(args) -> list:
     base = _study_params(r_g=4.0, r_h=1.0, power_p=2.0, lambda_s=0.2)
     grid = np.linspace(0.02, 0.4, 10)
     cfg = _sim_cfg(args, replications=6, slots=120)
-
-    def simulate(table, side, k):
-        return _simulated(table, cfg, f"outage-{side}", args.seed, first=k * len(grid))
-    return _outage_study(args, 10, base, cfg, "power_s", grid, ("power_s",), simulate)
+    return _outage_study(args, 10, base, cfg, "power_s", grid, ("power_s",))
 
 
 def _optimum_curves(args, prefix, field, column, grid) -> list:

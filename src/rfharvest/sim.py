@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -262,10 +262,20 @@ class _CellList:
         return nearest
 
 
+def _row_bits(table: NetworkParams, names) -> list[tuple]:
+    return list(zip(*(getattr(table, name).view(np.int64).tolist() for name in names)))
+
+
 def _geometry(table: NetworkParams) -> list[tuple]:
     """Each row's bit patterns of the only fields the draws and zones read."""
-    names = ("lambda_s", "lambda_p", "r_g", "r_h")
-    return list(zip(*(getattr(table, name).view(np.int64).tolist() for name in names)))
+    return _row_bits(table, ("lambda_s", "lambda_p", "r_g", "r_h"))
+
+
+def _outage_run(table: NetworkParams) -> list[tuple]:
+    """Each row's bit patterns of the fields an outage run reads: all but the
+    SINR targets and outage budgets, with lambda_p for its two factors."""
+    return _row_bits(table, ["lambda_p"] + [f.name for f in fields(table) if f.name not in (
+        "theta_p", "theta_s", "eps_p", "eps_s", "lambda_p_total", "access_prob")])
 
 
 class SlotSimulator:

@@ -12,7 +12,8 @@ a 99.73% Student-t interval.
 import numpy as np
 from scipy import stats
 
-from rfharvest import SimConfig, charging_geometry, estimate_p_t, transmission_probability
+from rfharvest import (SimConfig, charging_geometry, estimate_p_t, outage_curve, tau_secondary,
+                       transmission_probability)
 
 from conftest import make_params
 
@@ -38,6 +39,42 @@ def _pt_points(n: int, seed: int = 2026):
     return points
 
 
+def _secondary_points(n: int, seed: int = 11):
+    """(params, closed form 1 - exp(-tau_secondary)) at n random points with
+    m_slots <= 2 and the closed form in [0.01, 0.99].
+
+    The band is fixed before the run: near 0 or 1 every replication can see
+    the same share of outages, and a zero half-width gives no z (unfiltered,
+    one point of this generator sits at 0.9997 with zero half-width)."""
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < n:
+        r_h = rng.uniform(0.5, 1.5)
+        p = make_params(r_h=r_h, r_g=r_h * rng.uniform(1.5, 4.0),
+                        lambda_p_total=rng.uniform(0.005, 0.05), lambda_s=rng.uniform(0.05, 0.4),
+                        power_s=rng.uniform(0.02, 0.5), alpha=rng.uniform(3.0, 5.0), eta=0.1,
+                        theta_s=10.0 ** rng.uniform(0.0, 2.0), d_s=rng.uniform(0.2, 1.0),
+                        d_p=0.3)
+        if charging_geometry(p).m_slots > 2:
+            continue
+        closed = -np.expm1(-tau_secondary(p, transmission_probability(p).value * p.lambda_s))
+        if 0.01 <= closed <= 0.99:
+            points.append((p, closed))
+    return points
+
+
+def _check(name: str, z: list) -> None:
+    """The KS test of ``z`` against t_(R-1) at ``KS_LEVEL``, with its report."""
+    z = np.array(z)
+    t = stats.t(REPLICATIONS - 1)
+    ks = stats.kstest(z, t.cdf)
+    covered = np.mean(np.abs(z) <= t.ppf(0.99865))
+    print(f"{name} calibration over {len(z)} points: KS {ks.statistic:.3f} "
+          f"(p = {ks.pvalue:.3g}), mean z {z.mean():+.2f}, "
+          f"share of |z| <= t_0.99865,{REPLICATIONS - 1} {covered:.3f}")
+    assert ks.pvalue >= KS_LEVEL
+
+
 def test_transmit_probability_is_calibrated():
     z = []
     for seed, (p, exact) in enumerate(_pt_points(60)):
@@ -45,10 +82,15 @@ def test_transmit_probability_is_calibrated():
                         n_replications=REPLICATIONS, master_seed=seed)
         est = estimate_p_t(p, cfg)
         z.append((est.mean - exact) / (est.half_width / 3.0))  # half-width is 3 s / sqrt(R)
-    z = np.array(z)
-    t = stats.t(REPLICATIONS - 1)
-    ks = stats.kstest(z, t.cdf)
-    covered = np.mean(np.abs(z) <= t.ppf(0.99865))
-    print(f"p_t calibration over {len(z)} points: KS {ks.statistic:.3f} (p = {ks.pvalue:.3g}), "
-          f"mean z {z.mean():+.2f}, share of |z| <= t_0.99865,{REPLICATIONS - 1} {covered:.3f}")
-    assert ks.pvalue >= KS_LEVEL
+    _check("p_t", z)
+
+
+def test_unconditioned_secondary_outage_is_calibrated():
+    # The probe's link without the guard-zone rejection against the exponent
+    # form, at the default window
+    z = []
+    for seed, (p, closed) in enumerate(_secondary_points(40)):
+        cfg = SimConfig(n_slots=150, n_replications=REPLICATIONS, master_seed=seed)
+        (est,) = outage_curve(p, cfg, "secondary-unconditioned", [p.theta_s])
+        z.append((est.mean - closed) / (est.half_width / 3.0))
+    _check("unconditioned secondary outage", z)

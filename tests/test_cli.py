@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rfharvest import (SimConfig, estimate_p_t, load_params, params_to_dict,
+from rfharvest import (SimConfig, estimate_p_t, load_params, outage_curve, params_to_dict,
                        transmission_probability)
 from rfharvest import cli as cli_module
 from rfharvest import sim as sim_module
@@ -310,6 +310,41 @@ def test_power_sweep_runs_one_dynamics_per_charger_density(config_path, tmp_path
                                         master_seed=_point_seed(7, i % 2)))
         assert row[2:] == [_fmt(est.mean), _fmt(est.half_width), _fmt(est.n_samples)]
     assert len({tuple(row[2:]) for row in rows}) > 2
+
+
+def test_outage_sweep_runs_one_dynamics_per_power(config_path, tmp_path, monkeypatch):
+    # The theta_p rows of one power differ only in their SINR target, so they
+    # share one outage_curve, seeded by the group's first row, and each row
+    # still equals its own curve at that seed.  The two powers are two groups,
+    # which 2 workers run on the pool with the serial run's bytes.
+    argv = ["simulate", "--target", "outage-primary", "--config", config_path,
+            "--sweep", "power_s=0.05:0.15:2", "--sweep", "theta_p=1:100:3:log",
+            "--replications", "2", "--slots", "40", "--window", "40", "--seed", "7"]
+    calls, curve = [], cli_module.outage_curve
+
+    def counted(params, config, side, thetas):
+        calls.append((params.power_s, len(thetas)))
+        return curve(params, config, side, thetas)
+
+    monkeypatch.setattr(cli_module, "outage_curve", counted)
+    monkeypatch.setenv("RFH_THREADS", "1")
+    assert main(argv + ["--out", str(tmp_path / "serial.csv")]) == 0
+    assert calls == [(0.05, 3), (0.15, 3)]
+    monkeypatch.undo()
+    monkeypatch.setenv("RFH_THREADS", "2")
+    assert main(argv + ["--out", str(tmp_path / "pooled.csv")]) == 0
+    assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "pooled.csv").read_bytes()
+    _, cols, rows = read_csv(tmp_path / "serial.csv")
+    assert cols == ["power_s", "theta_p", "estimate", "half_width", "n_samples"]
+    base = load_params(config_path)
+    for i, row in enumerate(rows):
+        p = dataclasses.replace(base, power_s=(0.05, 0.15)[i // 3],
+                                theta_p=np.geomspace(1.0, 100.0, 3)[i % 3])
+        cfg = SimConfig(n_slots=40, n_replications=2, window_side=40.0,
+                        master_seed=_point_seed(7, 3 * (i // 3)))
+        (est,) = outage_curve(p, cfg, "primary", [p.theta_p])
+        assert row[2:] == [_fmt(est.mean), _fmt(est.half_width), _fmt(est.n_samples)]
+    assert len({row[2] for row in rows}) > 2
 
 
 def test_one_group_sweep_imports_no_process_pool(config_path, tmp_path):
@@ -753,6 +788,11 @@ def test_design_point_script_runs(tmp_path, r_g):
     lines = run.stdout.splitlines()
     assert any(line.startswith("optimal transmit power") for line in lines)
     assert any(line.startswith("transmit probability") for line in lines)
+    # each outage of the design's problem against its budget
+    sides = ["primary", "secondary"] if r_g is None else ["wit"]
+    outages = [line.split()[0] for line in lines if line.split()[1:2] == ["outage"]]
+    assert outages == sides
+    assert all("budget eps_" in line for line in lines if line.split()[1:2] == ["outage"])
 
 
 def _numpy_ma_modules(commands):

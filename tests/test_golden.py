@@ -95,7 +95,7 @@ def test_golden_output_unchanged(name, tmp_path, monkeypatch):
 @pytest.mark.parametrize("workers", ["2", "3"])
 @pytest.mark.parametrize("name", ["figure5", "figure10"])
 def test_pooled_figures_unchanged_by_worker_count(name, workers, tmp_path, monkeypatch):
-    # each simulated point has its own seed, so the pool reorders nothing
+    # each simulated group has its own seed, so the pool reorders nothing
     monkeypatch.setenv("RFH_THREADS", workers)
     assert_golden(name, tmp_path)
 

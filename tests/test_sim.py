@@ -656,6 +656,26 @@ def test_table_rows_must_share_the_geometry():
         estimate_p_t(table, small_cfg())
 
 
+def test_outage_rows_group_on_all_but_thresholds_and_budgets():
+    # Rows that differ only in SINR targets, budgets or how lambda_p is
+    # factored share one outage run; each other field splits a group.
+    base = make_params()
+    shared = [{}, {"theta_p": 20.0}, {"theta_s": 0.5}, {"eps_p": 0.05}, {"eps_s": 0.45},
+              {"lambda_p_total": 0.02, "access_prob": 0.5}]
+    split = [{"lambda_s": 0.2}, {"power_p": 2.0}, {"power_s": 0.2}, {"alpha": 3.0},
+             {"eta": 0.2}, {"r_g": 4.0}, {"r_h": 1.5}, {"d_p": 0.4}, {"d_s": 0.4},
+             {"noise": 0.01}]
+    rows = [replace_params(base, **kw) for kw in shared + split]
+    keys = sim_module._outage_run(
+        _table(base, {f.name: [getattr(r, f.name) for r in rows]
+                      for f in dataclasses.fields(base)}))
+    assert len(set(keys[:len(shared)])) == 1
+    assert len(set(keys)) == 1 + len(split)
+    cfg = small_cfg(window_side=40.0)
+    assert (outage_curve(rows[0], cfg, "primary", [1.0, 5.0])
+            == outage_curve(rows[len(shared) - 1], cfg, "primary", [1.0, 5.0]))
+
+
 def test_combine_is_order_invariant():
     means, counts = [0.1, 0.3, 0.2], [100, 100, 100]
     a = _combine(means, counts)

@@ -61,6 +61,14 @@ def test_csv_is_written_only_by_the_sweep_and_study_writers():
     assert _callers("_write_csv") == ["cli._write_sweep", "cli.cmd_figure"]
 
 
+def test_dynamics_estimates_are_reached_only_through_the_grouped_sweep():
+    # One way to simulate a sweep: simulate and the canned studies reach the
+    # p_t and outage runs through cli._simulate_group, one run per group of
+    # rows, never one hand-seeded run of their own.
+    assert _callers("estimate_p_t") == ["cli._simulate_group"]
+    assert _callers("outage_curve") == ["cli._simulate_group", "sim.estimate_outage"]
+
+
 def test_blas_thread_policy_precedes_every_import():
     # OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it, so the
     # package's default must be set before any import that could load numpy;
