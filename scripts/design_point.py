@@ -31,8 +31,12 @@ def main() -> int:
     ap.add_argument("--slots", type=int, default=80)
     args = ap.parse_args()
 
-    p = load_params(args.config)
-    res = solve(p)
+    try:
+        p = load_params(args.config)
+        res = solve(p)
+    except (ValueError, OSError) as exc:  # an invalid file, or an infeasible design
+        print(f"{ap.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
     print(f"optimal transmit power : {res.p_s_star:.6g}")
     print(f"active density         : {res.active_density:.6g}")

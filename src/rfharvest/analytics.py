@@ -1,7 +1,7 @@
 """Closed-form zone, transmission, outage, and throughput expressions.
 
 Every function here is a pure formula evaluation on validated parameters
-(the conditional secondary outage adds a fixed-accuracy quadrature over the
+(the conditional secondary outage adds a fixed-order quadrature over the
 guard hole); the Monte Carlo counterparts live in :mod:`rfharvest.sim`.
 The zone, transmission and outage forms also take a table of parameter
 sets (see :mod:`rfharvest.params`) and then return columns.
@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import (ChargingGeometry, NetworkParams, _each, _fail, _pow, _rowwise,
-                     charging_geometry)
+from .params import (ChargingGeometry, NetworkParams, _distinct, _each, _fail, _pow,
+                     _rowwise, charging_geometry)
 
 __all__ = [
     "ZoneProbabilities",
@@ -264,23 +264,24 @@ def tau_secondary(params: NetworkParams, active_density: float) -> float:
 # so H = 2 pi c^(2/alpha) D((r_g - d) / c^(1/alpha)) + the integral of
 # r Theta(r) / (1 + r^alpha / c) over that annulus, where
 # D(x) = int_0^x t dt / (1 + t^alpha).  Substituting r = m - h cos u makes
-# the annulus integrand analytic in u on [0, pi], so Gauss-Legendre
-# converges geometrically; the node count comes from the nearest
-# singularity (the kernel's pole at r = c^(1/alpha) e^(i pi/alpha), or
-# r = 0).  D is a Stieltjes integral in t^alpha: a six-node Gauss-Jacobi
-# rule takes it on (0, x) for x <= 1 and on the tail beyond x otherwise
-# (relative error about 1e-9 for alpha from 2.3 to 8).  Each rule is one
-# tridiagonal eigen-solve (Golub & Welsch, Math. Comp. 23(106), 1969), cached
-# per alpha or order; orders 4 to 128 take 0.1 s in all on a 2-core VM.
-# The annulus order aims its ellipse bound at 1e-12: on random rows the
-# bound understates the error up to about 5e3-fold, and with that margin H
-# is within 1e-8 relative of adaptive quadrature for r_g 0.3-6, d up to
-# 12 r_g, alpha 2.1-8 and c from e^-6 to e^6 (worst of 3,000 rows 2.8e-9;
-# test_guard_hole_meets_its_relative_target in tests/test_analytics.py).
+# the annulus integrand analytic in u on [0, pi], and one fixed 128-node
+# Gauss-Legendre rule in u takes it for every row.  D is a Stieltjes
+# integral in t^alpha: a six-node Gauss-Jacobi rule takes it on (0, x) for
+# x <= 1 and on the tail beyond x otherwise (relative error about 1e-9 for
+# alpha from 2.3 to 8).  Each rule is one tridiagonal eigen-solve (Golub &
+# Welsch, Math. Comp. 23(106), 1969): D's once per alpha, the annulus rule
+# once.  Against adaptive quadrature for r_g 0.3-6, alpha 2.1-8 and c from
+# e^-6 to e^6, H is within 1e-12 relative with the receiver outside the
+# disk (d up to 12 r_g; worst of 300 rows 2.5e-14), and inside it the D
+# rule bounds the error, about 6e-10 (tests/test_analytics.py).  The rows
+# are taken one alpha at a time, in blocks of _HOLE_BLOCK rows (each
+# (rows, nodes) temporary 512 KiB).  Every step is elementwise or a sum
+# along a row, and numpy's arccos and power give the same bits in every
+# lane, so a row's value depends on its own inputs alone.
 
 _JACOBI_NODES = 6
-_HOLE_LOG_TOL = math.log(1e12)  # the ellipse bound's target is 1e-12
-_HOLE_MAX_NODES = 128  # receiver on or next to the disk's edge
+_ANNULUS_NODES = 128
+_HOLE_BLOCK = 512
 
 
 def _gauss_jacobi(a: float, n: int) -> list[tuple[float, float]]:
@@ -300,85 +301,60 @@ def _gauss_jacobi(a: float, n: int) -> list[tuple[float, float]]:
 
 @functools.lru_cache(maxsize=32)
 def _radial_rule(alpha: float):
-    """D's Gauss-Jacobi pairs on (0, x] and on the tail, D(inf), cos and sin of pi/alpha."""
+    """D's Gauss-Jacobi pairs on (0, x] and on the tail, and D(inf)."""
     head = [(v, w / alpha) for v, w in _gauss_jacobi(2.0 / alpha - 1.0, _JACOBI_NODES)]
     tail = [(v, w / alpha) for v, w in _gauss_jacobi(-2.0 / alpha, _JACOBI_NODES)]
-    d_inf = math.pi / (alpha * math.sin(2.0 * math.pi / alpha))
-    return head, tail, d_inf, math.cos(math.pi / alpha), math.sin(math.pi / alpha)
+    return head, tail, math.pi / (alpha * math.sin(2.0 * math.pi / alpha))
 
 
-def _disk_share(x: float, alpha: float, rule) -> float:
-    """D(x) = int_0^x t dt / (1 + t^alpha), with ``rule`` = _radial_rule(alpha)."""
-    head, tail, d_inf = rule[:3]
-    z = x ** alpha
-    acc = 0.0
-    if z <= 1.0:
-        # (x^2/alpha) int_0^1 v^(2/alpha - 1) / (1 + z v) dv, with v = (t/x)^alpha
-        for v, w in head:
-            acc += w / (1.0 + z * v)
-        return x * x * acc
-    # D(inf) minus the tail (x^2/alpha) int_0^1 v^(-2/alpha) / (z + v) dv, v = (x/t)^alpha
+@functools.cache
+def _annulus_rule() -> np.ndarray:
+    """Gauss-Legendre cos u and weight * sin u on u in [0, pi], as two rows."""
+    return np.array([(math.cos(math.pi * t), math.pi * w * math.sin(math.pi * t))
+                     for t, w in _gauss_jacobi(0.0, _ANNULUS_NODES)]).T
+
+
+def _disk_share(x: np.ndarray, alpha: float) -> np.ndarray:
+    """D(x) = int_0^x t dt / (1 + t^alpha) for a column x."""
+    head, tail, d_inf = _radial_rule(alpha)
+    with np.errstate(over="ignore"):  # t^alpha = inf leaves only D(inf)
+        z = x ** alpha
+    near = far = 0.0
+    # z <= 1: (x^2/alpha) int_0^1 v^(2/alpha - 1) / (1 + z v) dv, with v = (t/x)^alpha
+    for v, w in head:
+        near = near + w / (1.0 + z * v)
+    # z > 1: D(inf) minus the tail (x^2/alpha) int_0^1 v^(-2/alpha) / (z + v) dv,
+    # v = (x/t)^alpha
     for v, w in tail:
-        acc += w / (z + v)
-    return d_inf - x * x * acc
+        far = far + w / (z + v)
+    y = np.minimum(x, 1.0)  # x itself where z <= 1; x * x may overflow elsewhere
+    return np.where(z <= 1.0, y * y * near, d_inf - x * (x * far))
 
 
-@functools.lru_cache(maxsize=_HOLE_MAX_NODES)
-def _annulus_rule(n: int) -> list[tuple[float, float]]:
-    """Gauss-Legendre (cos u, weight * sin u) pairs on u in [0, pi]."""
-    return [(math.cos(math.pi * t), math.pi * w * math.sin(math.pi * t))
-            for t, w in _gauss_jacobi(0.0, n)]
-
-
-def _annulus_nodes(m: float, h: float, knee_re: float, knee_im: float) -> int:
-    """Gauss-Legendre order for the annulus integral in u, r = m - h cos u.
-
-    A singularity at r = zeta sits at u = acos((m - zeta) / h), at height
-    acosh((|zeta' + 1| + |zeta' - 1|) / 2) off the real axis, zeta' = (m - zeta) / h.
-    The Bernstein ellipse about [0, pi] through that height at the interval's
-    midpoint (where the ellipse is narrowest) bounds the convergence rate;
-    the nearer of the kernel's pole and r = 0 sets it.
-    """
-    if m <= h:  # receiver on the disk's edge: r = 0 is an end point
-        return _HOLE_MAX_NODES
-    x = (m - knee_re) / h
-    y = knee_im / h
-    height = min(math.acosh(0.5 * (math.hypot(x + 1.0, y) + math.hypot(x - 1.0, y))),
-                 math.acosh(m / h))
-    rate = 2.0 * math.asinh(2.0 * height / math.pi)
-    if rate <= 0.0:
-        return _HOLE_MAX_NODES
-    return max(4, min(_HOLE_MAX_NODES, math.ceil(_HOLE_LOG_TOL / rate)))
-
-
-def _hole_integral(d: float, r_g: float, alpha: float, c: float) -> float:
-    """H: the kernel 1 / (1 + |x|^alpha / c) integrated over B(x_t, r_g), |x_t| = d."""
-    if r_g < 0.0 or d < 0.0 or c < 0.0:
-        raise ValueError("the guard hole needs non-negative r_g, d_s and s * power_p")
-    if r_g == 0.0 or c == 0.0:
-        return 0.0
-    rule = _radial_rule(alpha)
-    r0 = c ** (1.0 / alpha)
-    if d == 0.0:
-        return 2.0 * math.pi * r0 * r0 * _disk_share(r_g / r0, alpha, rule)
-    if d < r_g:
-        inner = 2.0 * math.pi * r0 * r0 * _disk_share((r_g - d) / r0, alpha, rule)
-        m, h = r_g, d
-    else:
-        inner = 0.0
-        m, h = d, r_g
-    n = _annulus_nodes(m, h, r0 * rule[3], r0 * rule[4])
-    inv_c = 1.0 / c
-    k0 = d * d - r_g * r_g
-    k1 = 0.5 / d
-    acos = math.acos
-    acc = 0.0
-    for cos_u, w in _annulus_rule(n):
-        r = m - h * cos_u
-        a = (r + k0 / r) * k1
-        arc = acos(a) if -1.0 < a < 1.0 else (0.0 if a >= 1.0 else math.pi)
-        acc += w * r * arc / (1.0 + r ** alpha * inv_c)
-    return inner + 2.0 * h * acc
+def _hole_integral(d: np.ndarray, r_g: np.ndarray, alpha: np.ndarray,
+                   c: np.ndarray) -> np.ndarray:
+    """H of each row: the kernel 1 / (1 + |x|^alpha / c) integrated over
+    B(x_t, r_g), |x_t| = d."""
+    _fail((d < 0.0) | (r_g < 0.0) | (c < 0.0), lambda k: ValueError(
+        "the guard hole needs non-negative r_g, d_s and s * power_p"))
+    cos_u, weight = _annulus_rule()
+    hole = np.zeros(len(d))
+    live = (r_g > 0.0) & (c > 0.0)
+    for a in set(alpha[live].tolist()):
+        group = np.flatnonzero(live & (alpha == a))
+        for k in range(0, len(group), _HOLE_BLOCK):
+            i = group[k:k + _HOLE_BLOCK]
+            r0 = _pow(c[i], 1.0 / a)
+            hole[i] = 2.0 * math.pi * r0 * r0 * _disk_share(np.maximum(r_g[i] - d[i], 0.0) / r0, a)
+            i = i[d[i] > 0.0]  # d = 0: a centered disk, no annulus
+            di, gi = d[i][:, None], r_g[i][:, None]
+            r = np.maximum(di, gi) - np.minimum(di, gi) * cos_u
+            arc = np.arccos(np.clip((r + (di * di - gi * gi) / r) * (0.5 / di), -1.0, 1.0))
+            with np.errstate(over="ignore"):  # r^alpha = inf: the kernel is 0
+                power = r ** a
+            kernel = weight * r * arc / (1.0 + power * (1.0 / c[i])[:, None])
+            hole[i] += 2.0 * np.minimum(d[i], r_g[i]) * kernel.sum(axis=1)
+    return hole
 
 
 def _lens_area(d: float, r: float) -> float:
@@ -423,7 +399,11 @@ def outage_secondary(params: NetworkParams, active_density: float) -> OutageResu
     tau = (active_density * _each(math.exp, lam * _each(_lens_area, p.d_s, r_g))
            * ph * _pow(s * p.power_s, 2.0 / p.alpha) + s * p.noise)
     c = s * p.power_p
-    hole = lam * (ph * _pow(c, 2.0 / p.alpha) - _each(_hole_integral, p.d_s, r_g, p.alpha, c))
+    # H of each distinct row, gathered back to the rows
+    cols = (p.d_s, r_g, p.alpha, c)
+    first, inverse = _distinct(cols) or (slice(None), slice(None))
+    h = _hole_integral(*[col[first] for col in cols])[inverse]
+    hole = lam * (ph * _pow(c, 2.0 / p.alpha) - h)
     tau = np.where(lam > 0.0, tau + hole, tau)
     return OutageResult(tau=tau, probability=-_each(math.expm1, -tau),
                         clamped=np.zeros(len(tau), dtype=bool))

@@ -13,8 +13,8 @@ from rfharvest import (build_chain, charging_geometry, outage_primary,
                        phi, pt_double_slot, pt_multi_bounds, pt_single_slot,
                        spatial_throughput, tau_primary, tau_secondary, tau_wit,
                        transmission_probability, wit_outage, zone_probabilities)
-from rfharvest.analytics import _gauss_jacobi, _hole_integral, _lens_area
-from rfharvest.params import _table
+from rfharvest.analytics import _HOLE_BLOCK, _gauss_jacobi, _hole_integral, _lens_area
+from rfharvest.params import _table, _take
 
 from conftest import make_params, replace_params, valid_params
 
@@ -311,6 +311,11 @@ def _dense_hole(d, r_g, alpha, c):
     return float(w_rho @ (rho[:, None] / (1.0 + r2 ** (alpha / 2.0) / c)) @ (math.pi * _DENSE_W))
 
 
+def _hole(d, r_g, alpha, c):
+    """H of one row, from the column form on one-row columns."""
+    return _hole_integral(*(np.array([v], dtype=float) for v in (d, r_g, alpha, c))).item()
+
+
 HOLE_GRID = [(alpha, r_g, d_s, theta)
              for alpha in (3.0, 4.0, 5.5) for r_g in (1.5, 3.0, 6.0)
              for d_s in (0.2, 0.5, 0.9, 2.0) for theta in (1.0, 20.0, 500.0)]
@@ -323,7 +328,7 @@ def test_guard_hole_matches_dense_reference(alpha, r_g, d_s, theta):
     s = theta * d_s ** alpha / p.power_s
     c = s * p.power_p
     h_ref = _dense_hole(d_s, r_g, alpha, c)
-    assert abs(_hole_integral(d_s, r_g, alpha, c) - h_ref) <= 1e-4
+    assert abs(_hole(d_s, r_g, alpha, c) - h_ref) <= 1e-4
 
     active = 0.01
     tau_ref = (p.lambda_p * (phi(alpha) * c ** (2.0 / alpha) - h_ref)
@@ -368,21 +373,71 @@ def test_guard_hole_meets_its_relative_target():
     c = np.exp(rng.uniform(-6.0, 6.0, n))
     for row in zip(d.tolist(), r_g.tolist(), alpha.tolist(), c.tolist()):
         h_ref = _quad_hole(*row)
-        assert abs(_hole_integral(*row) - h_ref) <= 1e-8 * h_ref, row
+        assert abs(_hole(*row) - h_ref) <= 1e-8 * h_ref, row
 
 
 @pytest.mark.parametrize("alpha", [3.0, 4.0, 5.5])
 def test_guard_hole_degenerate_geometries(alpha):
-    assert _hole_integral(0.5, 0.0, alpha, 2.0) == 0.0          # no guard zone
-    assert _hole_integral(0.5, 3.0, alpha, 0.0) == 0.0          # zero threshold
+    assert _hole(0.5, 0.0, alpha, 2.0) == 0.0          # no guard zone
+    assert _hole(0.5, 3.0, alpha, 0.0) == 0.0          # zero threshold
     # transmitter at the receiver: a centered disk
-    assert abs(_hole_integral(0.0, 3.0, alpha, 2.0) - _dense_hole(0.0, 3.0, alpha, 2.0)) <= 1e-4
+    assert abs(_hole(0.0, 3.0, alpha, 2.0) - _dense_hole(0.0, 3.0, alpha, 2.0)) <= 1e-4
     # receiver on the hole's edge and far outside it
     for d in (3.0, 9.0):
-        h = _hole_integral(d, 3.0, alpha, 2.0)
+        h = _hole(d, 3.0, alpha, 2.0)
         assert math.isfinite(h) and abs(h - _dense_hole(d, 3.0, alpha, 2.0)) <= 1e-4
     with pytest.raises(ValueError):
-        _hole_integral(-0.5, 3.0, alpha, 2.0)
+        _hole(-0.5, 3.0, alpha, 2.0)
+
+
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+def test_guard_hole_outside_the_disk_meets_1e_12():
+    # Receivers outside the disk (d from 1.01 to 12 r_g), over the exponents
+    # and thresholds above, taken as one column
+    rng = np.random.default_rng(11)
+    n = 300
+    r_g = rng.uniform(0.3, 6.0, n)
+    d = rng.uniform(1.01, 12.0, n) * r_g
+    alpha = rng.uniform(2.1, 8.0, n)
+    c = np.exp(rng.uniform(-6.0, 6.0, n))
+    h = _hole_integral(d, r_g, alpha, c)
+    h_ref = np.array([_quad_hole(*row)
+                      for row in zip(d.tolist(), r_g.tolist(), alpha.tolist(), c.tolist())])
+    err = np.abs(h - h_ref) / h_ref
+    assert err.max() <= 1e-12, (err.max(), int(err.argmax()))
+
+
+def test_guard_hole_is_one_value_per_row():
+    # Three exponents, d = 0 rows and more rows per exponent than one block
+    # of the column form: every row equals its one-row evaluation bit for
+    # bit, for H itself and for outage_secondary, whose table holds every
+    # row twice so that it evaluates the distinct rows and gathers them back
+    rng = np.random.default_rng(5)
+    n = 1800
+    alpha = rng.choice([2.5, 4.0, 6.3], n)
+    d = np.where(np.arange(n) % 10 == 0, 0.0, rng.uniform(0.0, 8.0, n))
+    r_g = rng.uniform(0.5, 4.0, n)
+    c = np.exp(rng.uniform(-6.0, 6.0, n))
+    assert min(np.count_nonzero(alpha == a) for a in (2.5, 4.0, 6.3)) > _HOLE_BLOCK
+    h = _hole_integral(d, r_g, alpha, c)
+    assert h.tolist() == [_hole(*row) for row in zip(d, r_g, alpha, c)]
+    perm = rng.permutation(n)
+    assert np.array_equal(_hole_integral(d[perm], r_g[perm], alpha[perm], c[perm]), h[perm])
+
+    cols = {"alpha": alpha, "d_s": d, "r_g": r_g, "theta_s": c}
+    table = _table(make_params(), {k: np.tile(v, 2) for k, v in cols.items()})
+    tau = outage_secondary(table, 0.01).tau
+    assert tau.tolist() == [outage_secondary(_take(table, [k]), 0.01).tau.item()
+                            for k in range(2 * n)]
+
+
+@pytest.mark.filterwarnings("error")
+def test_guard_hole_of_a_disk_beyond_the_float_range():
+    # r^alpha overflows, so the kernel is 0 there and a disk of radius 1e150
+    # about a receiver 0.5 away holds the full-plane integral phi(alpha) sqrt(c)
+    assert _hole(0.5, 1e150, 4.0, 6.25) == pytest.approx(phi(4.0) * 2.5, rel=1e-15)
+    assert _hole(0.0, 1e150, 4.0, 6.25) == pytest.approx(phi(4.0) * 2.5, rel=1e-15)
+    assert _hole(1e150, 0.5, 4.0, 6.25) == 0.0
 
 
 def test_lens_area_values():

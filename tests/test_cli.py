@@ -13,6 +13,7 @@ import pytest
 
 from rfharvest import (SimConfig, estimate_p_t, load_params, outage_curve, params_to_dict,
                        transmission_probability)
+from rfharvest import analytics
 from rfharvest import cli as cli_module
 from rfharvest import sim as sim_module
 from rfharvest.cli import (_CHUNK_ROWS, SIM_TARGETS, _fmt, _n_workers, _point_seed, _write_csv,
@@ -158,6 +159,30 @@ def test_overflowing_config_fails_cleanly(tmp_path, capsys, command, field, valu
     assert main(argv) == 2
     assert capsys.readouterr().err == f"rfharvest: error: {message} overflows the float range\n"
     assert not out.exists()
+
+
+def test_analyze_writes_the_row_of_a_guard_disk_beyond_the_float_range(tmp_path):
+    # r_g = 1e150: r^alpha overflows inside the guard hole, where the kernel
+    # is exactly 0, so the row is written with H the full-plane value
+    data = json.loads(pathlib.Path(EXAMPLE).read_text())
+    data.update(lambda_p_total=1e-300, r_g=1e150)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    out = tmp_path / "x.csv"
+    assert main(["analyze", "--config", str(config), "--out", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    (row,) = rows
+    assert float(row[header.index("p_g")]) == pytest.approx(0.0432139182638, rel=1e-11)
+    assert all(np.isfinite(float(v)) for v in row if v)
+
+
+def test_analyze_builds_each_exponents_rules_once(tmp_path):
+    # the guard hole takes its rows one exponent at a time: 200 exponents
+    # over 40,000 rows build 200 D rules
+    analytics._radial_rule.cache_clear()
+    assert main(["analyze", "--config", EXAMPLE, "--out", str(tmp_path / "x.csv"),
+                 "--sweep", "d_s=0.1:2.5:200", "--sweep", "alpha=2.2:8:200"]) == 0
+    assert analytics._radial_rule.cache_info().misses == 200
 
 
 @pytest.mark.parametrize("link", ["d_p", "d_s"])
@@ -769,6 +794,17 @@ def test_sweep_header_reproduces_its_grid(config_path, tmp_path):
 # -- scripts -----------------------------------------------------------------------
 
 
+def _design_point(config):
+    """scripts/design_point.py run on ``config`` at 2 replications of 10 slots."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "design_point.py"), "--config", str(config),
+         "--replications", "2", "--slots", "10"],
+        capture_output=True, text=True, env=env, timeout=120)
+
+
 @pytest.mark.parametrize("r_g", [None, 0.0], ids=["p1", "p2"])
 def test_design_point_script_runs(tmp_path, r_g):
     config = ROOT / "configs" / "example.json"
@@ -777,13 +813,7 @@ def test_design_point_script_runs(tmp_path, r_g):
         data["r_g"] = r_g
         config = tmp_path / "dedicated.json"
         config.write_text(json.dumps(data))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "design_point.py"), "--config", str(config),
-         "--replications", "2", "--slots", "10"],
-        capture_output=True, text=True, env=env, timeout=120)
+    run = _design_point(config)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
     assert any(line.startswith("optimal transmit power") for line in lines)
@@ -793,6 +823,19 @@ def test_design_point_script_runs(tmp_path, r_g):
     outages = [line.split()[0] for line in lines if line.split()[1:2] == ["outage"]]
     assert outages == sides
     assert all("budget eps_" in line for line in lines if line.split()[1:2] == ["outage"])
+
+
+def test_design_point_script_reports_an_infeasible_design(tmp_path):
+    # eps_p below the chargers' own interference floor: no density is feasible
+    data = json.loads((ROOT / "configs" / "example.json").read_text())
+    data["eps_p"] = 0.001
+    config = tmp_path / "infeasible.json"
+    config.write_text(json.dumps(data))
+    run = _design_point(config)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr.startswith("design_point.py: error: primary constraint unsatisfiable")
+    assert "Traceback" not in run.stderr
 
 
 def _numpy_ma_modules(commands):

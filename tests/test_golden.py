@@ -6,9 +6,11 @@ alters an RNG stream or an output on purpose regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and names the changed files in CHANGES.md.
+which prints the files whose bytes changed, and names them in CHANGES.md.
 """
 
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -168,14 +170,31 @@ def test_every_csv_column_reaches_the_writer_as_an_array(tmp_path, monkeypatch):
 
 
 def regenerate() -> int:
+    """Rewrite every golden file and print those whose bytes changed."""
     os.environ["RFH_THREADS"] = "1"
+    before = {}
+    if os.path.isdir(GOLDEN):
+        for fname in os.listdir(GOLDEN):
+            with open(os.path.join(GOLDEN, fname), "rb") as fh:
+                before[fname] = fh.read()
     shutil.rmtree(GOLDEN, ignore_errors=True)
     os.makedirs(GOLDEN)
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         for name in sorted(CASES):
             for fname in run_case(name, tmp):
                 shutil.move(os.path.join(tmp, fname), os.path.join(GOLDEN, fname))
-    print(f"wrote {len(os.listdir(GOLDEN))} files to {GOLDEN}")
+    written = sorted(os.listdir(GOLDEN))
+    changed = []
+    for fname in written:
+        with open(os.path.join(GOLDEN, fname), "rb") as fh:
+            if fh.read() != before.get(fname):
+                changed.append(fname)
+    for fname in changed:
+        print(f"{'changed' if fname in before else 'new'}: {fname}")
+    for fname in sorted(set(before) - set(written)):
+        print(f"removed: {fname}")
+    print(f"wrote {len(written)} files to {GOLDEN}: {len(changed)} changed, "
+          f"{len(written) - len(changed)} byte-identical")
     return 0
 
 

@@ -18,19 +18,25 @@ def test_no_assert_statements(path):
 
 # numpy's SIMD versions of these may differ from libm in the last bit; the
 # closed forms take every such value from ``math`` through ``params._each``,
-# which evaluates each distinct argument once and relies on that.
+# which evaluates each distinct argument once and relies on that.  The one
+# exception is the guard hole's column quadrature, whose arccos runs on
+# (rows, nodes) blocks: test_guard_hole_is_one_value_per_row in
+# tests/test_analytics.py checks that each of its rows still equals its
+# one-row evaluation bit for bit.
 TRANSCENDENTAL = {"exp", "exp2", "expm1", "log", "log2", "log10", "log1p", "power",
                   "float_power", "sqrt", "cbrt", "hypot", "sin", "cos", "tan", "arcsin",
                   "arccos", "arctan", "arctan2", "sinh", "cosh", "tanh", "arcsinh",
                   "arccosh", "arctanh"}
+ALLOWED = {"analytics.py": {("_hole_integral", "arccos")}}
 
 
 @pytest.mark.parametrize("name", ["params.py", "analytics.py", "optimize.py"])
 def test_closed_forms_call_no_numpy_transcendental(name):
     tree = ast.parse((SRC / name).read_text(encoding="utf-8"), filename=name)
-    calls = [f"{node.attr} at line {node.lineno}" for node in ast.walk(tree)
+    calls = [f"{node.attr} at line {node.lineno}" for top in tree.body for node in ast.walk(top)
              if isinstance(node, ast.Attribute) and node.attr in TRANSCENDENTAL
-             and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
+             and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+             and (getattr(top, "name", None), node.attr) not in ALLOWED.get(name, ())]
     calls += [f"{alias.name} at line {node.lineno}" for node in ast.walk(tree)
               if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy")
               for alias in node.names if alias.name in TRANSCENDENTAL]
