@@ -299,7 +299,8 @@ def _gauss_jacobi(a: float, n: int) -> list[tuple[float, float]]:
     return list(zip(nodes.tolist(), (vectors[0] ** 2 / (a + 1.0)).tolist()))
 
 
-@functools.lru_cache(maxsize=32)
+# Room for every distinct alpha of a sweep block: each rule is built once per sweep.
+@functools.lru_cache(maxsize=1024)
 def _radial_rule(alpha: float):
     """D's Gauss-Jacobi pairs on (0, x] and on the tail, and D(inf)."""
     head = [(v, w / alpha) for v, w in _gauss_jacobi(2.0 / alpha - 1.0, _JACOBI_NODES)]
@@ -340,11 +341,13 @@ def _hole_integral(d: np.ndarray, r_g: np.ndarray, alpha: np.ndarray,
     cos_u, weight = _annulus_rule()
     hole = np.zeros(len(d))
     live = (r_g > 0.0) & (c > 0.0)
-    for a in set(alpha[live].tolist()):
-        group = np.flatnonzero(live & (alpha == a))
+    r0s = _pow(np.where(live, c, 0.0), 1.0 / alpha)
+    # the live rows grouped by alpha, found by one sort; each group in row order
+    rows = np.flatnonzero(live)[np.argsort(alpha[live], kind="stable")]
+    for group in np.split(rows, np.flatnonzero(np.diff(alpha[rows])) + 1):
         for k in range(0, len(group), _HOLE_BLOCK):
             i = group[k:k + _HOLE_BLOCK]
-            r0 = _pow(c[i], 1.0 / a)
+            a, r0 = alpha[i[0]].item(), r0s[i]
             hole[i] = 2.0 * math.pi * r0 * r0 * _disk_share(np.maximum(r_g[i] - d[i], 0.0) / r0, a)
             i = i[d[i] > 0.0]  # d = 0: a centered disk, no annulus
             di, gi = d[i][:, None], r_g[i][:, None]

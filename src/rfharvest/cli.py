@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -78,15 +79,22 @@ def parse_sweep(text: str) -> SweepSpec:
     return SweepSpec(name=name, start=start, stop=stop, n_points=n, scale=scale)
 
 
-def _sweep_table(base: NetworkParams, sweeps: list[SweepSpec]) -> NetworkParams:
-    """The cartesian grid of ``sweeps`` over ``base`` as a table, one row per
-    point, the first sweep varying slowest.  Not validated."""
+def _sweep_blocks(base: NetworkParams, sweeps: list[SweepSpec], rows: int):
+    """The cartesian grid of ``sweeps`` over ``base`` as tables of at most
+    ``rows`` rows each, in order: one row per point, the first sweep
+    varying slowest.  Not validated."""
     names = [s.name for s in sweeps]
     for i, name in enumerate(names):
         if name in names[:i]:
             raise ValueError(f"parameter {name!r} is swept twice")
-    grids = np.meshgrid(*[s.values() for s in sweeps], indexing="ij")
-    return _table(base, dict(zip(names, (g.ravel() for g in grids))))
+    values = [s.values() for s in sweeps]
+    shape = [s.n_points for s in sweeps]
+    n = math.prod(shape)
+
+    def block(lo):
+        index = np.unravel_index(np.arange(lo, min(lo + rows, n)), shape) if sweeps else ()
+        return _table(base, {name: v[i] for name, v, i in zip(names, values, index)})
+    return map(block, range(0, n, rows))
 
 
 def _first_error(table_columns):
@@ -167,22 +175,49 @@ def _fmt_column(values: np.ndarray) -> list[str]:
 
 # Rows formatted at a time: bounds the memory the formatted text takes.
 _CHUNK_ROWS = 2048
+# Sweep rows evaluated at a time: bounds the memory of their columns.
+_BLOCK_ROWS = 8192
 
 
-def _write_csv(path, header_lines, columns: dict) -> None:
-    """Write a CSV of ``columns``, an array of values per column name.
+def _write_csv(path, header_lines, blocks) -> None:
+    """Write a CSV of ``blocks``, each a map from the column names to
+    equal-length arrays of values, the blocks' rows in order.
 
     Names and values are identifiers, numbers and bare words, which CSV
-    never quotes, so a row is its fields joined by commas.
+    never quotes, so a row is its fields joined by commas.  A new or
+    regular file is written to a sibling temporary file, which replaces
+    ``path`` once every row is in it, with the mode that writing ``path``
+    in place gives: an error, in a block or in the writing, leaves
+    ``path`` as it was.  Any other path (/dev/stdout, a pipe, a symlink)
+    is written in place, as a stream.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
-        values = list(columns.values())
-        for i in range(0, len(values[0]), _CHUNK_ROWS):
-            rows = zip(*[_fmt_column(c[i:i + _CHUNK_ROWS]) for c in values])
-            fh.write("\n".join(map(",".join, rows)) + "\n")
+    mode = os.lstat(path).st_mode if os.path.lexists(path) else None
+    in_place = mode is not None and not stat.S_ISREG(mode)
+    tmp = path if in_place else f"{path}.{os.getpid()}.tmp"
+    # "x": never truncates a file this run did not create
+    fh = open(tmp, "w" if in_place else "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            for line in header_lines:
+                fh.write(f"# {line}\n")
+            for i, columns in enumerate(blocks):
+                lengths = {name: len(c) for name, c in columns.items()}
+                if len(set(lengths.values())) > 1:
+                    raise ValueError(f"CSV columns differ in length: {lengths}")
+                if i == 0:
+                    fh.write(",".join(columns) + "\n")
+                values = list(columns.values())
+                for j in range(0, len(values[0]), _CHUNK_ROWS):
+                    rows = zip(*[_fmt_column(c[j:j + _CHUNK_ROWS]) for c in values])
+                    fh.write("\n".join(map(",".join, rows)) + "\n")
+        if not in_place:
+            if mode is not None:
+                os.chmod(tmp, stat.S_IMODE(mode))
+            os.replace(tmp, path)
+    except BaseException:
+        if not in_place:
+            os.unlink(tmp)
+        raise
 
 
 def _shortest(x: float) -> str:
@@ -228,19 +263,20 @@ def _pooled_map(fn, jobs):
         return list(pool.map(fn, jobs))
 
 
-def _write_sweep(args, command, table_columns, **header_kw) -> int:
+def _write_sweep(args, command, table_columns, *, whole_grid=False, **header_kw) -> int:
     """Write one row per point of the ``--sweep`` grid over ``--config``.
 
     A row is the point's swept values followed by its entries of
-    ``table_columns(table)``, which maps the grid's table, not yet
-    validated, to its columns by name.  Every column is complete before
-    the file is opened, so a failing point leaves no partial CSV.
+    ``table_columns(table)``, which maps a table of grid rows, not yet
+    validated, to its columns by name, one block of ``_BLOCK_ROWS`` rows at
+    a time (one block with ``whole_grid``).  ``_write_csv`` replaces
+    ``--out`` after the last row, so a failing point leaves no partial CSV.
     """
     base = load_params(args.config)
     sweeps = [parse_sweep(s) for s in args.sweep]
-    table = _sweep_table(base, sweeps)
-    columns = {s.name: getattr(table, s.name) for s in sweeps} | table_columns(table)
-    _write_csv(args.out, _headers(command, base, sweeps=sweeps, **header_kw), columns)
+    tables = _sweep_blocks(base, sweeps, sys.maxsize if whole_grid else _BLOCK_ROWS)
+    blocks = ({s.name: getattr(t, s.name) for s in sweeps} | table_columns(t) for t in tables)
+    _write_csv(args.out, _headers(command, base, sweeps=sweeps, **header_kw), blocks)
     return 0
 
 
@@ -325,7 +361,8 @@ def cmd_simulate(args) -> int:
             return _cdf(_scalar(table), seeded)
         validate(table, warn=False)
         return _simulated(table, config, args.target, args.seed)
-    return _write_sweep(args, "simulate", table_columns, seed=args.seed,
+    # one block: the groups of rows and their point seeds span the grid
+    return _write_sweep(args, "simulate", table_columns, whole_grid=True, seed=args.seed,
                         replications=args.replications, slots=args.slots,
                         window=args.window, warmup=args.warmup, target=args.target)
 
@@ -496,7 +533,7 @@ def cmd_figure(args) -> int:
     for i in ids:
         for name, header, columns in _FIGURES[i](args):
             path = os.path.join(args.out_dir, name)
-            _write_csv(path, header, columns)
+            _write_csv(path, header, [columns])
             print(path)
     return 0
 

@@ -977,7 +977,7 @@ def test_csv_writer_matches_per_value_format(tmp_path):
         "flag": rows % 3 == 0,
     }
     path = tmp_path / "out.csv"
-    _write_csv(path, ["a header"], columns)
+    _write_csv(path, ["a header"], [columns])
     got = path.read_text(encoding="utf-8")
     want = _reference_csv(["a header"], list(columns), list(columns.values()))
     # the first differing line, not a diff of the whole file
@@ -985,6 +985,49 @@ def test_csv_writer_matches_per_value_format(tmp_path):
                                                           want.splitlines())) if g != w),
                 None) is None
     assert got == want
+
+
+def test_csv_writer_refuses_columns_of_different_lengths(tmp_path):
+    # zip would silently cut every column to the shortest
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match=r"CSV columns differ in length: \{'a': 5, 'b': 3\}"):
+        _write_csv(path, [], [{"a": np.arange(5), "b": np.arange(3)}])
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("existing_mode", [None, 0o600, 0o754], ids=["new", "600", "754"])
+def test_csv_writer_gives_the_mode_of_writing_in_place(tmp_path, existing_mode):
+    # a new file takes 0o666 less the umask, an existing file keeps its mode
+    path = tmp_path / "out.csv"
+    if existing_mode is not None:
+        path.write_text("old\n")
+        path.chmod(existing_mode)
+    umask = os.umask(0o027)
+    try:
+        _write_csv(path, [], [{"a": np.arange(3)}])
+    finally:
+        os.umask(umask)
+    assert path.read_text() == "a\n0\n1\n2\n"
+    assert path.stat().st_mode & 0o777 == (0o640 if existing_mode is None else existing_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+@pytest.mark.parametrize("stdout", ["pipe", "file"])
+def test_sweep_to_dev_stdout_prints_the_csv(config_path, tmp_path, stdout):
+    argv = ["analyze", "--config", config_path, "--sweep", "power_s=0.05:0.2:3"]
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "rfharvest.cli", *argv, "--out", "/dev/stdout"]
+    if stdout == "pipe":
+        run = subprocess.run(command, capture_output=True, env=env, timeout=120)
+        printed = run.stdout
+    else:
+        with open(tmp_path / "redirected.csv", "wb") as fh:
+            run = subprocess.run(command, stdout=fh, stderr=subprocess.PIPE, env=env, timeout=120)
+        printed = (tmp_path / "redirected.csv").read_bytes()
+    assert run.returncode == 0, run.stderr
+    assert printed == (tmp_path / "out.csv").read_bytes()
 
 
 def test_csv_writer_memory_is_bounded_by_its_chunk(tmp_path):
@@ -995,7 +1038,7 @@ def test_csv_writer_memory_is_bounded_by_its_chunk(tmp_path):
                    np.arange(n) % 7, np.array([2**70 + i % 3 for i in range(n)], dtype=object)]
         tracemalloc.start()
         try:
-            _write_csv(tmp_path / "big.csv", [], dict(zip("abcd", columns)))
+            _write_csv(tmp_path / "big.csv", [], [dict(zip("abcd", columns))])
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -155,9 +155,9 @@ def test_every_csv_column_reaches_the_writer_as_an_array(tmp_path, monkeypatch):
     monkeypatch.setenv("RFH_THREADS", "1")
     columns, write = {}, cli._write_csv
 
-    def recorded(path, header_lines, cols):
-        columns[os.path.basename(path)] = cols
-        write(path, header_lines, cols)
+    def recorded(path, header_lines, blocks):
+        blocks = columns[os.path.basename(path)] = list(blocks)
+        write(path, header_lines, blocks)
 
     monkeypatch.setattr(cli, "_write_csv", recorded)
     for name in sorted(CASES):
@@ -165,8 +165,8 @@ def test_every_csv_column_reaches_the_writer_as_an_array(tmp_path, monkeypatch):
             run_case(name, str(tmp_path))
     assert main(["figure", "--id", "all"] + FIGURE + ["--out-dir", str(tmp_path)]) == 0
     assert sorted(columns) == sorted(os.listdir(GOLDEN))
-    assert [(fname, name, type(c).__name__) for fname, cols in columns.items()
-            for name, c in cols.items() if not isinstance(c, np.ndarray)] == []
+    assert [(fname, name, type(c).__name__) for fname, blocks in columns.items()
+            for cols in blocks for name, c in cols.items() if not isinstance(c, np.ndarray)] == []
 
 
 def regenerate() -> int:

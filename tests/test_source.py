@@ -67,6 +67,36 @@ def test_csv_is_written_only_by_the_sweep_and_study_writers():
     assert _callers("_write_csv") == ["cli._write_sweep", "cli.cmd_figure"]
 
 
+# Calls that write a file whatever their arguments; open and fdopen write
+# unless their mode is a literal without "w", "a", "x" or "+".
+FILE_WRITERS = {"write_text", "write_bytes", "savetxt", "tofile"}
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+    if name in FILE_WRITERS:
+        return True
+    if name not in ("open", "fdopen"):
+        return False
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"), None)
+    return mode is not None and not (isinstance(mode, ast.Constant)
+                                     and not set(mode.value) & set("wax+"))
+
+
+def test_files_are_opened_for_writing_only_by_the_csv_writer():
+    # cli._write_csv writes to a temporary file that replaces the output
+    # once it is complete, so a failing run leaves no partial file; any
+    # other write would bypass that.
+    writers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        writers += [f"{path.stem}.{getattr(top, 'name', '<module>')}"
+                    for top in tree.body for node in ast.walk(top)
+                    if isinstance(node, ast.Call) and _writes_a_file(node)]
+    assert writers == ["cli._write_csv"]
+
+
 def test_dynamics_estimates_are_reached_only_through_the_grouped_sweep():
     # One way to simulate a sweep: simulate and the canned studies reach the
     # p_t and outage runs through cli._simulate_group, one run per group of

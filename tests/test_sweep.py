@@ -1,9 +1,9 @@
 """Column-wise sweeps against the per-row reference.
 
-``analyze`` and ``optimize`` evaluate a sweep grid as one table of columns.
-The reference below is the per-row loop they replaced: one validated
-parameter set per grid point, the scalar library calls, and ``csv`` to
-write the rows.  Both must write the same bytes.
+``analyze`` and ``optimize`` evaluate a sweep grid as tables of columns,
+one block of rows at a time.  The reference below is the per-row loop they
+replaced: one validated parameter set per grid point, the scalar library
+calls, and ``csv`` to write the rows.  Both must write the same bytes.
 """
 
 import contextlib
@@ -14,6 +14,7 @@ import itertools
 import json
 import pathlib
 import sys
+import tracemalloc
 import warnings
 
 import pytest
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 from rfharvest import (InfeasibleError, NetworkParams, charging_geometry, load_params,
                        outage_primary, outage_secondary, solve, transmission_probability,
                        validate, zone_probabilities)
+from rfharvest import analytics, cli
 from rfharvest.cli import (ANALYZE_COLUMNS, OPTIMIZE_COLUMNS, _fmt, _headers, main,
                            parse_sweep)
 
@@ -239,3 +241,78 @@ def test_random_sweep_matches_per_row_reference(tmp_path_factory, case):
         argv += ["--sweep", s]
     expected = outcome(lambda: per_row_main(ref, command, str(config), sweeps), ref)
     assert outcome(lambda: main(argv), out) == expected
+
+
+# -- blocks of rows ------------------------------------------------------------------
+
+
+def sweep_argv(command, config, out, sweeps) -> list:
+    argv = [command, "--config", config, "--out", str(out)]
+    for s in sweeps:
+        argv += ["--sweep", s]
+    return argv
+
+
+@pytest.mark.parametrize("command, noisy, sweeps", [
+    ("analyze", False, ["power_s=0.05:0.9:20", "lambda_p_total=0.002:0.05:15"]),
+    ("optimize", False, ["lambda_p_total=0.002:0.06:20", "eps_p=0.03:0.45:15"]),
+    ("optimize", True, ["lambda_p_total=0.002:0.06:20", "eps_p=0.03:0.45:15"]),
+], ids=["analyze", "optimize", "optimize-noisy"])
+def test_blocks_of_seven_rows_write_the_bytes_of_one_block(tmp_path, monkeypatch, noisy_config,
+                                                           command, noisy, sweeps):
+    # 300 rows: 43 blocks, the last one partial; one block of 300 rows
+    # deduplicates its repeated values, blocks of 7 rows do not
+    config = noisy_config if noisy else EXAMPLE
+    written = []
+    for rows in (sys.maxsize, 7):
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", rows)
+        out = tmp_path / f"{rows}.csv"
+        assert main(sweep_argv(command, config, out, sweeps)) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
+# r_h >= r_g = 3 fails: rows 15-17 (r_h = 3) first, in the third block of
+# seven rows, then rows 18-23 (r_h = 3.5, 4) with their own values
+LATE_FAILURE = ["r_h=0.5:4:8", "power_s=0.05:0.5:3"]
+
+
+@pytest.mark.parametrize("existing", [None, b"an earlier run's bytes\n"], ids=["new", "existing"])
+def test_a_failure_in_a_later_block_leaves_out_as_it_was(tmp_path, monkeypatch, existing):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)
+    out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+    if existing is not None:
+        out.write_bytes(existing)
+    code, err, _ = outcome(lambda: per_row_main(ref, "analyze", EXAMPLE, LATE_FAILURE), ref)
+    assert (code, err) == (2, "rfharvest: error: harvesting radius r_h=3.0 must be smaller "
+                               "than guard radius r_g=3.0\n")
+    assert outcome(lambda: main(sweep_argv("analyze", EXAMPLE, out, LATE_FAILURE)), out) == (
+        code, err, existing)
+    # no temporary file left beside it
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["out.csv"] if existing else [])
+
+
+def test_analyze_memory_is_bounded_by_its_block(tmp_path):
+    # Evaluating the whole grid before writing would grow the peak with the
+    # rows.  analyze reads no budget, so every row computes the same values:
+    # the rows' arrays stay, and the text, traced object by object, is cheap.
+    def peak(n_eps_p):
+        argv = sweep_argv("analyze", EXAMPLE, tmp_path / "big.csv",
+                          ["eps_s=0.05:0.6:200", f"eps_p=0.05:0.6:{n_eps_p}"])
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(1000) <= 1.5 * peak(100)
+
+
+def test_each_alpha_rule_is_built_once_per_sweep(tmp_path):
+    # 40,000 rows: five blocks, each visiting all 200 alpha values in turn
+    analytics._radial_rule.cache_clear()
+    argv = sweep_argv("analyze", EXAMPLE, tmp_path / "out.csv",
+                      ["d_s=0.1:2.5:200", "alpha=2.5:6:200"])
+    assert main(argv) == 0
+    assert analytics._radial_rule.cache_info().misses == 200
